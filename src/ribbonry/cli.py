@@ -1,7 +1,7 @@
 """Command-line front end: count, enumerate, sample, render, graph, verify.
 
 Exit codes: 0 success (a count of zero is success), 1 domain failure such as
-sampling an untileable region, 2 usage error.
+sampling an untileable region or running out of memory, 2 usage error.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ def _print_json(payload: dict) -> None:
 
 def cmd_count(args: argparse.Namespace) -> int:
     region, n = _resolve_region(args)
-    count = count_tilings(region, n, memo_limit=args.memo_limit, threads=args.threads)
+    count = count_tilings(region, n, memo_limit=args.memo_limit)
     tiles = region.area // n if region.area % n == 0 else None
     ent = log2_big(count) / tiles if count and tiles else None
     if args.format == "text":
@@ -214,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     count = sub.add_parser("count", help="count tilings and report per-tile entropy")
     _add_region_flags(count)
-    count.add_argument("--threads", type=int, default=1, help="worker threads for counting")
     count.add_argument("--memo-limit", type=int, metavar="BYTES", help="cap memo table memory")
     count.add_argument("--format", choices=("json", "text"), default="json")
     count.set_defaults(func=cmd_count)
@@ -260,6 +259,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (NotTileableError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
     except BrokenPipeError:
         return 1

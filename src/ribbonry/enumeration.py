@@ -6,10 +6,18 @@ rooted there (a ribbon meets one cell per level, so a root at a lower level
 would itself be an uncovered cell of lower level), which makes the search
 exhaustive and duplicate-free.
 
-Counting memoizes on a frontier key: once the minimal uncovered cell sits at
-level L, every cell below level L is covered and no cell at level >= L + n
-can be covered yet, so the occupancy restricted to the band of levels
-[L, L + n - 1] determines the whole state.
+Once the minimal uncovered cell sits at level L, every cell below level L is
+covered and no cell at level >= L + n can be covered yet, so the state is the
+occupancy of the band of levels [L, L + n - 1].  With cells indexed in
+(level, x) order the covered bitmask is all ones below the band and all
+zeros above it, so the bitmask itself serves as the memo key.
+
+Every count goes through one memoized post-order fold over the search tree
+(`_Searcher.fold`): a finished tiling contributes a leaf value, and each
+state combines the values of its children.  Plain counts use leaf 1 and sum;
+`count_minimal` uses leaf (0, 1) and a min-plus combine.  The fold and the
+enumeration walk keep their own explicit stacks, so region size, not search
+depth, bounds what can be counted or listed.
 """
 
 from __future__ import annotations
@@ -17,76 +25,21 @@ from __future__ import annotations
 import math
 import os
 import random
-from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
-from .region import Cell, Region, RibbonShape, Tile, Tiling
+from .region import Region, RibbonShape, Tile, Tiling
 
 MEMO_LIMIT_ENV = "RIBBONRY_MEMO_LIMIT"
 
-# Rough bytes per memo entry: key tuple, band int, count int, dict slot.
+# Rough bytes per memo entry: key int, value, dict slot.
 _MEMO_ENTRY_BYTES = 160
+
+V = TypeVar("V")
 
 
 class NotTileableError(ValueError):
     """Raised when an operation needs a tiling of a region that has none."""
-
-
-@dataclass(frozen=True)
-class Occupancy:
-    """A region together with the set of cells already covered."""
-
-    region: Region
-    covered: frozenset[Cell]
-
-    def __post_init__(self) -> None:
-        stray = self.covered - self.region.cells
-        if stray:
-            raise ValueError(f"covered cells outside region, e.g. {sorted(stray)[:3]}")
-
-    @property
-    def is_complete(self) -> bool:
-        return len(self.covered) == self.region.area
-
-
-def min_uncovered_cell(occupancy: Occupancy) -> Cell:
-    """The uncovered cell minimal in (level, x) order."""
-    free = occupancy.region.cells - occupancy.covered
-    if not free:
-        raise ValueError("occupancy is complete")
-    return min(free, key=lambda c: (c.level, c.x))
-
-
-def placements_at(occupancy: Occupancy, cell: Cell, lengths: Iterable[int]) -> list[Tile]:
-    """Tiles rooted at `cell` that fit the free cells, with length in `lengths`.
-
-    Order is canonical: a shape precedes its extensions, and at equal length
-    words sort with E before N.
-    """
-    wanted = set(lengths)
-    if not wanted or min(wanted) < 1:
-        raise ValueError("lengths must be positive")
-    free = occupancy.region.cells - occupancy.covered
-    if cell not in free:
-        raise ValueError(f"cell {cell} is not free")
-    out: list[Tile] = []
-    limit = max(wanted)
-
-    def extend(at: Cell, moves: str) -> None:
-        length = len(moves) + 1
-        if length in wanted:
-            out.append(Tile(cell, RibbonShape(moves)))
-        if length == limit:
-            return
-        for mv, nxt in (("E", at.east()), ("N", at.north())):
-            if nxt in free:
-                extend(nxt, moves + mv)
-
-    extend(cell, "")
-    return out
 
 
 def _memo_limit_from_env(default: int | None) -> int | None:
@@ -100,7 +53,7 @@ def _memo_limit_from_env(default: int | None) -> int | None:
 
 
 class _Searcher:
-    """Shared machinery over one region and one set of admissible lengths."""
+    """Placement table and frontier search over one region and set of lengths."""
 
     def __init__(
         self,
@@ -109,7 +62,6 @@ class _Searcher:
         *,
         memo: bool = True,
         memo_limit: int | None = None,
-        prune: bool = False,
     ) -> None:
         self.region = region
         self.lengths = frozenset(lengths)
@@ -119,132 +71,104 @@ class _Searcher:
         self.order = region.sorted_cells
         self.index = {c: i for i, c in enumerate(self.order)}
         self.full = (1 << region.area) - 1
-        self.levels = [c.level for c in self.order]
-        self.use_memo = memo
-        self.prune = prune
-        self.memo: dict[tuple[int, int], int] = {}
-        self.minimal_memo: dict[tuple[int, int], tuple[int, int]] = {}
+        self.memo: dict[int, object] = {}
         limit = _memo_limit_from_env(memo_limit)
+        if not memo:
+            limit = 0
         self.max_entries = None if limit is None else max(limit // _MEMO_ENTRY_BYTES, 0)
         self.placements = [self._placements_for(i) for i in range(region.area)]
 
     def _placements_for(self, root_index: int) -> list[tuple[Tile, int]]:
-        root = self.order[root_index]
-        out: list[tuple[Tile, int]] = []
+        """Tiles rooted at cell `root_index` that fit the region, with their masks.
 
-        def extend(at: Cell, moves: str, mask: int) -> None:
-            length = len(moves) + 1
-            if length in self.lengths:
+        Order is canonical: depth first, a shape before its extensions and E
+        before N.
+        """
+        root = self.order[root_index]
+        # A ribbon climbs one level per cell, so none rooted here is longer.
+        longest = min(self.max_len, self.order[-1].level - root.level + 1)
+        out: list[tuple[Tile, int]] = []
+        stack = [(root, "", 1 << root_index)] if longest >= min(self.lengths) else []
+        while stack:
+            at, moves, mask = stack.pop()
+            if len(moves) + 1 in self.lengths:
                 out.append((Tile(root, RibbonShape(moves)), mask))
-            if length == self.max_len:
-                return
-            for mv, nxt in (("E", at.east()), ("N", at.north())):
+            if len(moves) + 1 == longest:
+                continue
+            for mv, nxt in (("N", at.north()), ("E", at.east())):
                 j = self.index.get(nxt)
                 if j is not None:
-                    extend(nxt, moves + mv, mask | (1 << j))
-
-        extend(root, "", 1 << root_index)
+                    stack.append((nxt, moves + mv, mask | (1 << j)))
         return out
 
-    def _key(self, covered: int, lowest: int) -> tuple[int, int]:
-        base = self.levels[lowest]
-        start = bisect_left(self.levels, base)
-        stop = bisect_left(self.levels, base + self.max_len)
-        band = (covered >> start) & ((1 << (stop - start)) - 1)
-        return (start, band)
+    def options(self, covered: int) -> list[tuple[Tile, int]]:
+        """The placements rooted at the minimal free cell of `covered`."""
+        free = self.full ^ covered
+        return self.placements[(free & -free).bit_length() - 1]
 
-    def _stranded(self, covered: int) -> bool:
-        """True if some free pocket cannot be exactly covered for size reasons.
+    def fold(self, covered: int, leaf: V, combine: Callable[[list[V]], V]) -> V:
+        """Fold `leaf` over every completion of `covered`, bottom up.
 
-        Every ribbon is 4-connected, so each tile lies inside one connected
-        pocket of free cells; a pocket whose size is not a multiple of the
-        gcd of the admissible lengths can never be finished.
+        An explicit-stack post-order pass: a frame holds a state, an iterator
+        over the placements still to try at its minimal free cell, and the
+        values of its finished children.  When the placements run out,
+        `combine` turns the values into the state's own, which is memoized
+        (unless the memo is at its cap) and handed to the parent frame.
         """
-        g = math.gcd(*self.lengths)
-        if g == 1:
-            return False
-        free = [c for i, c in enumerate(self.order) if not covered >> i & 1]
-        free_set = set(free)
-        seen: set[Cell] = set()
-        for cell in free:
-            if cell in seen:
-                continue
-            pocket = Region._flood(free_set, cell)
-            seen |= pocket
-            if len(pocket) % g:
-                return True
-        return False
+        full, memo, cap = self.full, self.memo, self.max_entries
+        if covered == full:
+            return leaf
+        if covered in memo:
+            return memo[covered]  # type: ignore[return-value]
+        stack = [(covered, iter(self.options(covered)), [])]
+        while True:
+            state, remaining, values = stack[-1]
+            for _, mask in remaining:
+                if mask & state:
+                    continue
+                child = state | mask
+                if child == full:
+                    values.append(leaf)
+                elif child in memo:
+                    values.append(memo[child])
+                else:
+                    stack.append((child, iter(self.options(child)), []))
+                    break
+            else:
+                stack.pop()
+                value = combine(values)
+                if cap is None or len(memo) < cap:
+                    memo[state] = value
+                if not stack:
+                    return value
+                stack[-1][2].append(value)
 
     def count(self, covered: int) -> int:
-        if covered == self.full:
-            return 1
-        free_bits = self.full & ~covered
-        lowest = (free_bits & -free_bits).bit_length() - 1
-        if self.use_memo:
-            key = self._key(covered, lowest)
-            hit = self.memo.get(key)
-            if hit is not None:
-                return hit
-        total = 0
-        for _, mask in self.placements[lowest]:
-            if mask & covered:
-                continue
-            if self.prune and self._stranded(covered | mask):
-                continue
-            total += self.count(covered | mask)
-        if self.use_memo and (self.max_entries is None or len(self.memo) < self.max_entries):
-            self.memo[key] = total
-        return total
+        """Number of ways to finish tiling from `covered`."""
+        return self.fold(covered, 1, sum)
 
-    def count_parallel(self, threads: int) -> int:
-        free_bits = self.full
-        lowest = (free_bits & -free_bits).bit_length() - 1
-        branches = [mask for _, mask in self.placements[lowest]]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return sum(pool.map(self.count, branches))
-
-    def minimal(self, covered: int) -> tuple[int, int]:
-        """(fewest tiles to finish, number of ways); (area+1, 0) if stuck."""
-        if covered == self.full:
-            return (0, 1)
-        key = None
-        free_bits = self.full & ~covered
-        lowest = (free_bits & -free_bits).bit_length() - 1
-        if self.use_memo:
-            key = self._key(covered, lowest)
-            hit = self.minimal_memo.get(key)
-            if hit is not None:
-                return hit
-        best = self.region.area + 1
-        ways = 0
-        for _, mask in self.placements[lowest]:
-            if mask & covered:
-                continue
-            sub_best, sub_ways = self.minimal(covered | mask)
-            sub_best += 1
-            if sub_best < best:
-                best, ways = sub_best, sub_ways
-            elif sub_best == best:
-                ways += sub_ways
-        result = (best, ways)
-        if key is not None and (
-            self.max_entries is None or len(self.minimal_memo) < self.max_entries
-        ):
-            self.minimal_memo[key] = result
-        return result
-
-    def walk(self, covered: int, tiles: list[Tile]) -> Iterator[Tiling]:
-        if covered == self.full:
-            yield Tiling(self.region, tuple(tiles))
-            return
-        free_bits = self.full & ~covered
-        lowest = (free_bits & -free_bits).bit_length() - 1
-        for tile, mask in self.placements[lowest]:
-            if mask & covered:
-                continue
-            tiles.append(tile)
-            yield from self.walk(covered | mask, tiles)
-            tiles.pop()
+    def walk(self) -> Iterator[Tiling]:
+        """Every tiling, depth first with placements in table order."""
+        full = self.full
+        tiles: list[Tile] = []
+        stack = [(0, iter(self.options(0)))]
+        while stack:
+            state, remaining = stack[-1]
+            for tile, mask in remaining:
+                if mask & state:
+                    continue
+                child = state | mask
+                tiles.append(tile)
+                if child == full:
+                    yield Tiling(self.region, tuple(tiles))
+                    tiles.pop()
+                    continue
+                stack.append((child, iter(self.options(child))))
+                break
+            else:
+                stack.pop()
+                if tiles:
+                    tiles.pop()
 
 
 def count_tilings(
@@ -253,18 +177,13 @@ def count_tilings(
     *,
     memo: bool = True,
     memo_limit: int | None = None,
-    prune: bool = False,
-    threads: int = 1,
 ) -> int:
     """Number of tilings of the region by n-ribbons (0 if there are none)."""
     if n < 1:
         raise ValueError(f"ribbon length must be positive, got {n}")
     if region.area % n:
         return 0
-    searcher = _Searcher(region, [n], memo=memo, memo_limit=memo_limit, prune=prune)
-    if threads > 1:
-        return searcher.count_parallel(threads)
-    return searcher.count(0)
+    return _Searcher(region, [n], memo=memo, memo_limit=memo_limit).count(0)
 
 
 def enumerate_tilings(region: Region, n: int) -> Iterator[Tiling]:
@@ -273,8 +192,7 @@ def enumerate_tilings(region: Region, n: int) -> Iterator[Tiling]:
         raise ValueError(f"ribbon length must be positive, got {n}")
     if region.area % n:
         return
-    searcher = _Searcher(region, [n], memo=False)
-    yield from searcher.walk(0, [])
+    yield from _Searcher(region, [n]).walk()
 
 
 def is_tileable(region: Region, n: int) -> bool:
@@ -313,10 +231,8 @@ def sample_tiling(region: Region, n: int, seed: int) -> Tiling:
     tiles: list[Tile] = []
     remaining = total
     while covered != searcher.full:
-        free_bits = searcher.full & ~covered
-        lowest = (free_bits & -free_bits).bit_length() - 1
         pick = rng.randrange(remaining)
-        for tile, mask in searcher.placements[lowest]:
+        for tile, mask in searcher.options(covered):
             if mask & covered:
                 continue
             weight = searcher.count(covered | mask)
@@ -332,37 +248,41 @@ def sample_tiling(region: Region, n: int, seed: int) -> Tiling:
 
 
 def tiling_probability(region: Region, n: int, tiling: Tiling) -> Fraction:
-    """Exact probability the sampler assigns to `tiling` (1 / total count)."""
+    """Exact probability the sampler assigns to `tiling` (1 / total count).
+
+    The sampler's per-step ratios telescope to 1 / count, and every valid
+    tiling by n-ribbons is reachable: its roots ascend, so each tile is
+    rooted at the minimal free cell when its turn comes.
+    """
     tiling.validate()
     if tiling.region != region:
         raise ValueError("tiling covers a different region")
-    searcher = _Searcher(region, [n])
-    prob = Fraction(1)
-    covered = 0
     for tile in tiling.tiles:
-        before = searcher.count(covered)
-        mask = 0
-        for cell in tile.cells():
-            mask |= 1 << searcher.index[cell]
-        after = searcher.count(covered | mask)
-        if before == 0 or after == 0:
-            raise NotTileableError("tiling is not reachable by the sampler")
-        prob *= Fraction(after, before)
-        covered |= mask
-    return prob
+        if tile.length != n:
+            raise NotTileableError(f"tile at {tile.root} has length {tile.length}, not {n}")
+    return Fraction(1, count_tilings(region, n))
 
 
 def count_variable(region: Region) -> int:
     """Number of tilings by ribbons of any length from 1 to the region's area."""
-    searcher = _Searcher(region, range(1, region.area + 1))
-    return searcher.count(0)
+    return _Searcher(region, range(1, region.area + 1)).count(0)
 
 
 def count_minimal(region: Region) -> tuple[int, int]:
     """(fewest ribbons in any tiling, number of tilings using that few)."""
-    searcher = _Searcher(region, range(1, region.area + 1))
-    best, ways = searcher.minimal(0)
-    return (best, ways)
+    stuck = region.area + 1
+
+    def fewest(values: list[tuple[int, int]]) -> tuple[int, int]:
+        best, ways = stuck, 0
+        for sub_best, sub_ways in values:
+            sub_best += 1
+            if sub_best < best:
+                best, ways = sub_best, sub_ways
+            elif sub_best == best:
+                ways += sub_ways
+        return (best, ways)
+
+    return _Searcher(region, range(1, region.area + 1)).fold(0, (0, 1), fewest)
 
 
 def log2_big(value: int) -> float:

@@ -2,12 +2,14 @@
 
 import io
 import json
+import sys
 import xml.etree.ElementTree as ET
 from importlib import resources
 
 import jsonschema
 import pytest
 
+from oracles import fib
 from ribbonry import Tiling, build_rectangle, count_tilings, enumerate_tilings, tiling_to_ascii
 from ribbonry.cli import main
 
@@ -54,19 +56,36 @@ def test_count_text_format(capsys):
     assert out.splitlines() == ["count: 61", "tiles: 6", "entropy: 0.988456"]
 
 
-def test_count_thread_invariance(capsys):
-    _, single, _ = run(capsys, "count", "--rect", "3x9", "--n", "3")
-    _, threaded, _ = run(capsys, "count", "--rect", "3x9", "--n", "3", "--threads", "3")
-    assert single == threaded
-    assert json.loads(single)["count"] == "669"
-
-
 def test_count_memo_limit_flag_and_env(capsys, monkeypatch):
     _, out, _ = run(capsys, "count", "--rect", "3x9", "--n", "3", "--memo-limit", "320")
     assert json.loads(out)["count"] == "669"
     monkeypatch.setenv("RIBBONRY_MEMO_LIMIT", "480")
     _, out, _ = run(capsys, "count", "--rect", "3x9", "--n", "3")
     assert json.loads(out)["count"] == "669"
+
+
+def test_deep_regions_need_no_recursion(capsys):
+    # Each of these needs more than a thousand tiles or ribbon cells in a row.
+    assert sys.getrecursionlimit() <= 1000
+    for rect, n, want in [("2x1200", "2", fib(1201)), ("1x2000", "1", 1), ("1x1500", "1500", 1)]:
+        code, out, err = run(capsys, "count", "--rect", rect, "--n", n)
+        assert code == 0 and err == "", rect
+        assert json.loads(out)["count"] == str(want), rect
+    strip = build_rectangle(2, 1200)
+    code, out, _ = run(capsys, "sample", "--rect", "2x1200", "--n", "2", "--seed", "0")
+    assert code == 0
+    assert Tiling.from_json(out).region == strip
+    next(enumerate_tilings(strip, 2)).validate()
+
+
+def test_memory_error_exits_1(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("ribbonry.cli.count_tilings", exhausted)
+    code, out, err = run(capsys, "count", "--rect", "3x6", "--n", "3")
+    assert code == 1 and out == ""
+    assert err == "error: out of memory\n"
 
 
 def test_enumerate_lines_match_count(capsys):
@@ -236,6 +255,9 @@ def test_argparse_rejects_unknown_command(capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--rect", "3x9", "--n", "3", "--threads", "3"])
     assert exc.value.code == 2
 
 

@@ -10,7 +10,6 @@ from oracles import count_tilings_oracle, fib, region_cells
 from ribbonry import (
     Cell,
     NotTileableError,
-    Occupancy,
     Region,
     build_aztec,
     build_rectangle,
@@ -22,12 +21,11 @@ from ribbonry import (
     enumerate_tilings,
     is_tileable,
     log2_big,
-    min_uncovered_cell,
     parse_region,
-    placements_at,
     sample_tiling,
     tiling_probability,
 )
+from ribbonry.enumeration import _Searcher
 
 ORACLE_BATTERY = [
     (build_rectangle(1, 4), 2),
@@ -90,8 +88,6 @@ def test_count_invariant_under_options():
     for region, n in cases:
         base = count_tilings(region, n)
         assert count_tilings(region, n, memo=False) == base
-        assert count_tilings(region, n, prune=True) == base
-        assert count_tilings(region, n, threads=4) == base
         assert count_tilings(region, n, memo_limit=0) == base
         assert count_tilings(region, n, memo_limit=10 * 160) == base
 
@@ -139,33 +135,18 @@ def test_enumerated_roots_follow_minimal_cell_rule():
         for tiling in enumerate_tilings(region, n):
             covered: set[Cell] = set()
             for tile in tiling.tiles:
-                occ = Occupancy(region, frozenset(covered))
-                assert tile.root == min_uncovered_cell(occ)
+                free = region.cells - covered
+                assert tile.root == min(free, key=lambda c: (c.level, c.x))
                 covered.update(tile.cells())
 
 
 def test_placements_at_canonical_order():
     region = build_rectangle(3, 3)
-    occ = Occupancy(region, frozenset())
-    tiles = placements_at(occ, Cell(0, 0), [3])
-    words = ["".join(t.shape.moves) for t in tiles]
-    assert words == ["EE", "EN", "NE", "NN"]
-    mixed = placements_at(occ, Cell(0, 0), [1, 2])
+    tiles = [tile for tile, _ in _Searcher(region, [3]).placements[0]]
+    assert all(tile.root == Cell(0, 0) for tile in tiles)
+    assert [t.shape.moves for t in tiles] == ["EE", "EN", "NE", "NN"]
+    mixed = [tile for tile, _ in _Searcher(region, [1, 2]).placements[0]]
     assert [t.shape.moves for t in mixed] == ["", "E", "N"]
-
-
-def test_placements_respect_coverage():
-    region = build_rectangle(2, 2)
-    occ = Occupancy(region, frozenset([Cell(1, 0)]))
-    tiles = placements_at(occ, Cell(0, 0), [2])
-    assert [t.shape.moves for t in tiles] == ["N"]
-    with pytest.raises(ValueError, match="not free"):
-        placements_at(occ, Cell(1, 0), [2])
-
-
-def test_occupancy_rejects_stray_cells():
-    with pytest.raises(ValueError, match="outside"):
-        Occupancy(build_rectangle(2, 2), frozenset([Cell(5, 5)]))
 
 
 def test_is_tileable_matches_count():
@@ -205,6 +186,13 @@ def test_variable_and_minimal_counts():
     assert count_minimal(build_rectangle(1, 5)) == (1, 1)
     hist = build_rectangle(3, 3).level_histogram
     assert count_minimal(build_rectangle(3, 3))[0] >= max(hist.values())
+
+
+def test_variable_and_minimal_counts_under_memo_cap(monkeypatch):
+    regions = [build_rectangle(2, 3), build_rectangle(3, 3), parse_region(".##.\n####\n####\n.##.")]
+    uncapped = [(count_variable(r), count_minimal(r)) for r in regions]
+    monkeypatch.setenv("RIBBONRY_MEMO_LIMIT", "0")
+    assert [(count_variable(r), count_minimal(r)) for r in regions] == uncapped
 
 
 def test_entropy_values():
@@ -251,6 +239,14 @@ def test_tiling_probability_exactly_uniform():
         probs = [tiling_probability(region, n, t) for t in enumerate_tilings(region, n)]
         assert all(p == Fraction(1, total) for p in probs)
         assert sum(probs) == 1
+
+
+def test_tiling_probability_rejects_wrong_tile_length():
+    region = build_rectangle(3, 3)
+    assert tiling_probability(region, 1, next(enumerate_tilings(region, 1))) == 1
+    for tromino_tiling in enumerate_tilings(region, 3):
+        with pytest.raises(NotTileableError, match="length 3"):
+            tiling_probability(region, 1, tromino_tiling)
 
 
 def test_tiling_probability_rejects_foreign_tiling():
