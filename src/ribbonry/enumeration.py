@@ -26,7 +26,7 @@ import math
 import os
 import random
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from .region import Region, RibbonShape, Tile, Tiling
 
@@ -35,7 +35,7 @@ MEMO_LIMIT_ENV = "RIBBONRY_MEMO_LIMIT"
 # Rough bytes per memo entry: key int, value, dict slot.
 _MEMO_ENTRY_BYTES = 160
 
-V = TypeVar("V")
+_V = TypeVar("_V")
 
 
 class NotTileableError(ValueError):
@@ -71,7 +71,7 @@ class _Searcher:
         self.order = region.sorted_cells
         self.index = {c: i for i, c in enumerate(self.order)}
         self.full = (1 << region.area) - 1
-        self.memo: dict[int, object] = {}
+        self.memo: dict[int, Any] = {}
         limit = _memo_limit_from_env(memo_limit)
         if not memo:
             limit = 0
@@ -106,7 +106,7 @@ class _Searcher:
         free = self.full ^ covered
         return self.placements[(free & -free).bit_length() - 1]
 
-    def fold(self, covered: int, leaf: V, combine: Callable[[list[V]], V]) -> V:
+    def fold(self, covered: int, leaf: _V, combine: Callable[[list[_V]], _V]) -> _V:
         """Fold `leaf` over every completion of `covered`, bottom up.
 
         An explicit-stack post-order pass: a frame holds a state, an iterator
@@ -119,7 +119,7 @@ class _Searcher:
         if covered == full:
             return leaf
         if covered in memo:
-            return memo[covered]  # type: ignore[return-value]
+            return memo[covered]
         stack = [(covered, iter(self.options(covered)), [])]
         while True:
             state, remaining, values = stack[-1]
