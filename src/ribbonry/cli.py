@@ -107,7 +107,7 @@ def _print_json(payload: dict) -> None:
 
 def cmd_count(args: argparse.Namespace) -> int:
     region, n = _resolve_region(args)
-    count = count_tilings(region, n, memo_limit=args.memo_limit)
+    count = count_tilings(region, n)
     tiles = region.area // n if region.area % n == 0 else None
     ent = log2_big(count) / tiles if count and tiles else None
     if args.format == "text":
@@ -214,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     count = sub.add_parser("count", help="count tilings and report per-tile entropy")
     _add_region_flags(count)
-    count.add_argument("--memo-limit", type=int, metavar="BYTES", help="cap memo table memory")
     count.add_argument("--format", choices=("json", "text"), default="json")
     count.set_defaults(func=cmd_count)
 

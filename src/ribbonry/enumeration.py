@@ -23,17 +23,11 @@ depth, bounds what can be counted or listed.
 from __future__ import annotations
 
 import math
-import os
 import random
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from .region import Region, RibbonShape, Tile, Tiling
-
-MEMO_LIMIT_ENV = "RIBBONRY_MEMO_LIMIT"
-
-# Rough bytes per memo entry: key int, value, dict slot.
-_MEMO_ENTRY_BYTES = 160
 
 _V = TypeVar("_V")
 
@@ -42,27 +36,10 @@ class NotTileableError(ValueError):
     """Raised when an operation needs a tiling of a region that has none."""
 
 
-def _memo_limit_from_env(default: int | None) -> int | None:
-    raw = os.environ.get(MEMO_LIMIT_ENV)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{MEMO_LIMIT_ENV} must be an integer byte count, got {raw!r}")
-
-
 class _Searcher:
     """Placement table and frontier search over one region and set of lengths."""
 
-    def __init__(
-        self,
-        region: Region,
-        lengths: Iterable[int],
-        *,
-        memo: bool = True,
-        memo_limit: int | None = None,
-    ) -> None:
+    def __init__(self, region: Region, lengths: Iterable[int]) -> None:
         self.region = region
         self.lengths = frozenset(lengths)
         if not self.lengths or min(self.lengths) < 1:
@@ -72,10 +49,6 @@ class _Searcher:
         self.index = {c: i for i, c in enumerate(self.order)}
         self.full = (1 << region.area) - 1
         self.memo: dict[int, Any] = {}
-        limit = _memo_limit_from_env(memo_limit)
-        if not memo:
-            limit = 0
-        self.max_entries = None if limit is None else max(limit // _MEMO_ENTRY_BYTES, 0)
         self.placements = [self._placements_for(i) for i in range(region.area)]
 
     def _placements_for(self, root_index: int) -> list[tuple[Tile, int]]:
@@ -113,9 +86,9 @@ class _Searcher:
         over the placements still to try at its minimal free cell, and the
         values of its finished children.  When the placements run out,
         `combine` turns the values into the state's own, which is memoized
-        (unless the memo is at its cap) and handed to the parent frame.
+        and handed to the parent frame.
         """
-        full, memo, cap = self.full, self.memo, self.max_entries
+        full, memo = self.full, self.memo
         if covered == full:
             return leaf
         if covered in memo:
@@ -137,8 +110,7 @@ class _Searcher:
             else:
                 stack.pop()
                 value = combine(values)
-                if cap is None or len(memo) < cap:
-                    memo[state] = value
+                memo[state] = value
                 if not stack:
                     return value
                 stack[-1][2].append(value)
@@ -171,19 +143,13 @@ class _Searcher:
                     tiles.pop()
 
 
-def count_tilings(
-    region: Region,
-    n: int,
-    *,
-    memo: bool = True,
-    memo_limit: int | None = None,
-) -> int:
+def count_tilings(region: Region, n: int) -> int:
     """Number of tilings of the region by n-ribbons (0 if there are none)."""
     if n < 1:
         raise ValueError(f"ribbon length must be positive, got {n}")
     if region.area % n:
         return 0
-    return _Searcher(region, [n], memo=memo, memo_limit=memo_limit).count(0)
+    return _Searcher(region, [n]).count(0)
 
 
 def enumerate_tilings(region: Region, n: int) -> Iterator[Tiling]:

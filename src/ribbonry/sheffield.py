@@ -22,7 +22,9 @@ tile to the right tile.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
@@ -74,13 +76,9 @@ class SGraph:
     def edge_class(self, a: VertexId, b: VertexId) -> str | None:
         return self._class_by_pair.get(frozenset((a, b)))
 
-    @property
+    @cached_property
     def _class_by_pair(self) -> dict[frozenset, str]:
-        cached = self.__dict__.get("_pairs")
-        if cached is None:
-            cached = {frozenset((e.u, e.v)): e.cls for e in self.edges}
-            self.__dict__["_pairs"] = cached
-        return cached
+        return {frozenset((e.u, e.v)): e.cls for e in self.edges}
 
     def to_json_dict(self) -> dict:
         return {
@@ -108,13 +106,17 @@ def _label_tiles(tiling: Tiling) -> dict[VertexId, Tile]:
     return labels
 
 
-def tile_levels(region: Region, n: int) -> dict[int, int]:
-    """Number of tiles rooted at each level (a tiling-independent profile)."""
+def _first_tiling(region: Region, n: int) -> Tiling:
     first = next(enumerate_tilings(region, n), None)
     if first is None:
         raise NotTileableError(f"region of area {region.area} has no {n}-ribbon tiling")
+    return first
+
+
+def tile_levels(region: Region, n: int) -> dict[int, int]:
+    """Number of tiles rooted at each level (a tiling-independent profile)."""
     profile: dict[int, int] = {}
-    for tile in first.tiles:
+    for tile in _first_tiling(region, n).tiles:
         profile[tile.root.level] = profile.get(tile.root.level, 0) + 1
     return dict(sorted(profile.items()))
 
@@ -133,10 +135,7 @@ def _forced_arc(u: VertexId, u_tile: Tile, v: VertexId, v_tile: Tile) -> tuple[V
 
 def build_graph(region: Region, n: int) -> SGraph:
     """Construct the tile-adjacency graph from the region's first tiling."""
-    first = next(enumerate_tilings(region, n), None)
-    if first is None:
-        raise NotTileableError(f"region of area {region.area} has no {n}-ribbon tiling")
-    labels = _label_tiles(first)
+    labels = _label_tiles(_first_tiling(region, n))
     vertices = tuple(sorted(labels))
     edges: list[SEdge] = []
     tau: set[tuple[VertexId, VertexId]] = set()
@@ -398,11 +397,6 @@ def acyclic_count_via_chromatic(graph, edges: Iterable[tuple] | None = None) -> 
 # Isomorphism
 
 
-def _edge_tables(graph: SGraph) -> tuple[dict, dict]:
-    pair_class = {frozenset((e.u, e.v)): e.cls for e in graph.edges}
-    return pair_class, {arc: True for arc in graph.tau}
-
-
 def _refine_colors(graph: SGraph) -> dict[VertexId, int]:
     incident: dict[VertexId, list[tuple[str, str, VertexId]]] = {v: [] for v in graph.vertices}
     tau = set(graph.tau)
@@ -442,12 +436,10 @@ def graphs_isomorphic(g1: SGraph, g2: SGraph) -> tuple[bool, dict[VertexId, Vert
     # isomorphic graphs and a census mismatch is a definite no.
     colors1 = _refine_colors(g1)
     colors2 = _refine_colors(g2)
-    census1 = sorted((c, list(colors1.values()).count(c)) for c in set(colors1.values()))
-    census2 = sorted((c, list(colors2.values()).count(c)) for c in set(colors2.values()))
-    if census1 != census2:
+    if Counter(colors1.values()) != Counter(colors2.values()):
         return (False, None)
-    pairs1, tau1 = _edge_tables(g1)
-    pairs2, tau2 = _edge_tables(g2)
+    pairs1, tau1 = g1._class_by_pair, g1.tau
+    pairs2, tau2 = g2._class_by_pair, g2.tau
     candidates = {
         v: [w for w in g2.vertices if colors2[w] == colors1[v]] for v in g1.vertices
     }
@@ -466,24 +458,24 @@ def graphs_isomorphic(g1: SGraph, g2: SGraph) -> tuple[bool, dict[VertexId, Vert
                     return False
         return True
 
-    def search(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in candidates[v]:
-            if w in used or not compatible(v, w):
-                continue
-            mapping[v] = w
-            used.add(w)
-            if search(i + 1):
-                return True
-            del mapping[v]
-            used.remove(w)
-        return False
-
-    if search(0):
-        return (True, dict(mapping))
-    return (False, None)
+    # Backtracking over `order` with an explicit stack: frame i iterates the
+    # untried images of order[i], and order[:len(mapping)] is mapped.
+    stack: list[Iterator[VertexId]] = []
+    while len(mapping) < len(order):
+        if len(stack) == len(mapping):
+            stack.append(iter(candidates[order[len(mapping)]]))
+        v = order[len(stack) - 1]
+        for w in stack[-1]:
+            if w not in used and compatible(v, w):
+                mapping[v] = w
+                used.add(w)
+                break
+        else:
+            stack.pop()
+            if not stack:
+                return (False, None)
+            used.remove(mapping.pop(order[len(stack) - 1]))
+    return (True, dict(mapping))
 
 
 # ---------------------------------------------------------------------------

@@ -79,28 +79,6 @@ def test_frozen_counts():
         assert count_tilings(region, n) == want
 
 
-def test_count_invariant_under_options():
-    cases = [
-        (build_rectangle(3, 9), 3),
-        (build_rectangle(4, 6), 4),
-        (parse_region(".##.\n####\n####\n.##."), 2),
-    ]
-    for region, n in cases:
-        base = count_tilings(region, n)
-        assert count_tilings(region, n, memo=False) == base
-        assert count_tilings(region, n, memo_limit=0) == base
-        assert count_tilings(region, n, memo_limit=10 * 160) == base
-
-
-def test_memo_limit_env_override(monkeypatch):
-    region = build_rectangle(3, 6)
-    monkeypatch.setenv("RIBBONRY_MEMO_LIMIT", "480")
-    assert count_tilings(region, 3) == 61
-    monkeypatch.setenv("RIBBONRY_MEMO_LIMIT", "not-a-number")
-    with pytest.raises(ValueError, match="RIBBONRY_MEMO_LIMIT"):
-        count_tilings(region, 3)
-
-
 def test_count_zero_cases():
     assert count_tilings(build_rectangle(2, 3), 4) == 0
     assert count_tilings(build_rectangle(2, 6), 4) == 0
@@ -188,13 +166,6 @@ def test_variable_and_minimal_counts():
     assert count_minimal(build_rectangle(3, 3))[0] >= max(hist.values())
 
 
-def test_variable_and_minimal_counts_under_memo_cap(monkeypatch):
-    regions = [build_rectangle(2, 3), build_rectangle(3, 3), parse_region(".##.\n####\n####\n.##.")]
-    uncapped = [(count_variable(r), count_minimal(r)) for r in regions]
-    monkeypatch.setenv("RIBBONRY_MEMO_LIMIT", "0")
-    assert [(count_variable(r), count_minimal(r)) for r in regions] == uncapped
-
-
 def test_entropy_values():
     assert entropy(build_rectangle(2, 2), 2) == 0.5
     assert entropy(build_rectangle(3, 6), 3) == pytest.approx(log2_big(61) / 6)
@@ -267,4 +238,3 @@ def test_count_matches_oracle_random_regions(cells, n):
     region = Region.from_cells(cells)
     want = count_tilings_oracle(region_cells(region), (n,))
     assert count_tilings(region, n) == want
-    assert count_tilings(region, n, memo=False) == want

@@ -1,6 +1,7 @@
 """Tile adjacency graphs, orientations, chromatic engine, isomorphism, growth."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,7 @@ from ribbonry import (
     verify_growth_bounds,
 )
 from ribbonry.sheffield import FORCED, FREE, SAME_LEVEL, falling_factorial_poly
+from ribbonry.verify import bijection_battery
 
 GRAPH_BATTERY = [
     (build_rectangle(3, 3), 3),
@@ -222,6 +224,25 @@ def test_chromatic_matches_coloring_oracle():
             assert poly(colors) == count_colorings_oracle(graph.vertices, edges, colors)
 
 
+def test_chromatic_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    checked = 0
+    for _, region, n in bijection_battery():
+        graph = build_graph(region, n)
+        # networkx's deletion-contraction is exponential in the edge count.
+        if len(graph.edges) > 10:
+            continue
+        reference = nx.Graph()
+        reference.add_nodes_from(graph.vertices)
+        reference.add_edges_from((e.u, e.v) for e in graph.edges)
+        coeffs = sympy.Poly(nx.chromatic_polynomial(reference), x).all_coeffs()
+        assert chromatic_polynomial(graph).coeffs == tuple(int(c) for c in reversed(coeffs))
+        checked += 1
+    assert checked >= 10
+
+
 def test_stanley_acyclic_orientation_identity():
     for region, n in GRAPH_BATTERY:
         graph = build_graph(region, n)
@@ -327,6 +348,49 @@ def test_isomorphic_negative_on_classes_and_sizes():
     )
     assert graphs_isomorphic(free_edge, forced_edge) == (False, None)
     assert graphs_isomorphic(free_edge, _cycle_graph([3])) == (False, None)
+
+
+def _as_digraph(nx, graph: SGraph):
+    """Tau arcs as directed edges, free edges in both directions, each with its class."""
+    digraph = nx.DiGraph()
+    digraph.add_nodes_from(graph.vertices)
+    for e in graph.edges:
+        if e.cls == FREE:
+            digraph.add_edge(e.v, e.u, cls=e.cls)
+            digraph.add_edge(e.u, e.v, cls=e.cls)
+        elif (e.u, e.v) in graph.tau:
+            digraph.add_edge(e.u, e.v, cls=e.cls)
+        else:
+            digraph.add_edge(e.v, e.u, cls=e.cls)
+    return digraph
+
+
+def test_isomorphism_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    graphs = [build_graph(region, n) for _, region, n in bijection_battery()]
+    pairs = [(g1, g2) for i, g1 in enumerate(graphs) for g2 in graphs[i:]
+             if len(g1.vertices) == len(g2.vertices)]
+    pairs.append((_cycle_graph([6]), _cycle_graph([3, 3])))
+    verdicts = set()
+    for g1, g2 in pairs:
+        matcher = nx.algorithms.isomorphism.DiGraphMatcher(
+            _as_digraph(nx, g1), _as_digraph(nx, g2), edge_match=lambda a, b: a["cls"] == b["cls"]
+        )
+        ok, mapping = graphs_isomorphic(g1, g2)
+        assert ok == matcher.is_isomorphic()
+        if ok:
+            _assert_witness(g1, g2, mapping)
+        verdicts.add(ok)
+    assert verdicts == {True, False}
+
+
+def test_isomorphism_needs_no_recursion():
+    # One backtracking level per vertex: 1,200 vertices.
+    assert sys.getrecursionlimit() <= 1000
+    graph = build_graph(build_rectangle(2, 1200), 2)
+    ok, mapping = graphs_isomorphic(graph, graph)
+    assert ok
+    _assert_witness(graph, graph, mapping)
 
 
 def test_growth_counts_and_bounds():
