@@ -141,10 +141,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    text = _read_text(args.infile)
     try:
-        tiling = Tiling.from_json(text)
-    except (ValueError, KeyError, TypeError) as exc:
+        tiling = Tiling.from_json(_read_text(args.infile))
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         print(f"error: not a tiling: {exc}", file=sys.stderr)
         return 1
     print(tiling_to_svg(tiling) if args.format == "svg" else tiling_to_ascii(tiling))
@@ -168,7 +167,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise UsageError("region flags apply only to the growth suite")
         region, n = _resolve_region(args)
         growth_cases = [(f"region n={n}", region, n)]
-    checks = run_suite(args.suite, free_edge_limit=args.free_edge_limit, growth_cases=growth_cases)
+    checks = run_suite(args.suite, growth_cases=growth_cases)
     failed = sum(c.status == FAIL for c in checks)
     skipped = sum(c.status == SKIPPED for c in checks)
     passed = len(checks) - failed - skipped
@@ -241,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a self-check suite and report each check")
     verify.add_argument("suite", choices=SUITE_NAMES)
     _add_region_flags(verify)
-    verify.add_argument("--free-edge-limit", type=int, default=30, metavar="EDGES")
     verify.add_argument("--format", choices=("json", "text"), default="json")
     verify.set_defaults(func=cmd_verify)
 

@@ -106,7 +106,10 @@ class Tile:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Tile":
         x, y = data["root"]
-        return cls(Cell(int(x), int(y)), RibbonShape(data["moves"]))
+        moves = data["moves"]
+        if type(x) is not int or type(y) is not int or not isinstance(moves, str):
+            raise TypeError(f"tile needs an integer root and string moves, got {data!r}")
+        return cls(Cell(x, y), RibbonShape(moves))
 
 
 class RegionParseError(ValueError):

@@ -8,6 +8,7 @@ import string
 from .region import Cell, Tiling
 
 _LETTERS = string.ascii_lowercase + string.ascii_uppercase + string.digits
+_CELL_SIZE = 28  # SVG pixels per lattice unit
 
 
 def tiling_to_ascii(tiling: Tiling) -> str:
@@ -65,15 +66,15 @@ def _outline(cells: tuple[Cell, ...]) -> list[tuple[int, int]]:
     return loop
 
 
-def tiling_to_svg(tiling: Tiling, cell_size: int = 28) -> str:
+def tiling_to_svg(tiling: Tiling) -> str:
     """One colored polygon per ribbon, root cells marked with a dot."""
     _, _, max_x, max_y = tiling.region.bounds
-    width = (max_x + 1) * cell_size
-    height = (max_y + 1) * cell_size
+    width = (max_x + 1) * _CELL_SIZE
+    height = (max_y + 1) * _CELL_SIZE
 
     def px(point: tuple[int, int]) -> str:
         x, y = point
-        return f"{x * cell_size},{(max_y + 1 - y) * cell_size}"
+        return f"{x * _CELL_SIZE},{(max_y + 1 - y) * _CELL_SIZE}"
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -86,10 +87,10 @@ def tiling_to_svg(tiling: Tiling, cell_size: int = 28) -> str:
             f'stroke="#333" stroke-width="1.5"/>'
         )
     for tile in tiling.tiles:
-        cx = (tile.root.x + 0.5) * cell_size
-        cy = (max_y + 0.5 - tile.root.y) * cell_size
+        cx = (tile.root.x + 0.5) * _CELL_SIZE
+        cy = (max_y + 0.5 - tile.root.y) * _CELL_SIZE
         parts.append(
-            f'<circle class="root" cx="{cx}" cy="{cy}" r="{cell_size * 0.12}" fill="#222"/>'
+            f'<circle class="root" cx="{cx}" cy="{cy}" r="{_CELL_SIZE * 0.12}" fill="#222"/>'
         )
     parts.append("</svg>")
     return "\n".join(parts)

@@ -34,10 +34,11 @@ from .region import Cell, Region, Tile, Tiling
 SAME_LEVEL = "same_level"
 FREE = "free"
 FORCED = "forced_n"
+FREE_EDGE_LIMIT = 30  # most free edges count_admissible_orientations searches
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised when a computation would exceed a configured search limit."""
+    """Raised when a graph has more free edges than FREE_EDGE_LIMIT."""
 
 
 class GraphInconsistencyError(RuntimeError):
@@ -72,9 +73,6 @@ class SGraph:
     @property
     def free_edges(self) -> tuple[SEdge, ...]:
         return tuple(e for e in self.edges if e.cls == FREE)
-
-    def edge_class(self, a: VertexId, b: VertexId) -> str | None:
-        return self._class_by_pair.get(frozenset((a, b)))
 
     @cached_property
     def _class_by_pair(self) -> dict[frozenset, str]:
@@ -228,18 +226,19 @@ def orientation_from_tiling(tiling: Tiling, graph: SGraph) -> frozenset[tuple[Ve
     return result
 
 
-def count_admissible_orientations(graph: SGraph, free_edge_limit: int = 30) -> int:
+def count_admissible_orientations(graph: SGraph) -> int:
     """Number of acyclic orientations of the graph that extend tau.
 
     Exhaustive over the free edges with incremental cycle detection.  Any
     acyclic partial assignment extends to a full acyclic orientation (orient
     the rest along a topological order), so the search tree carries no dead
-    subtrees and runtime is proportional to the result.
+    subtrees and runtime is proportional to the result.  Raises
+    ResourceLimitError on a graph with more than FREE_EDGE_LIMIT free edges.
     """
     free = graph.free_edges
-    if len(free) > free_edge_limit:
+    if len(free) > FREE_EDGE_LIMIT:
         raise ResourceLimitError(
-            f"{len(free)} free edges exceed the limit of {free_edge_limit}"
+            f"{len(free)} free edges exceed the limit of {FREE_EDGE_LIMIT}"
         )
     if not is_acyclic(graph.vertices, graph.tau):
         raise GraphInconsistencyError("fixed arc set tau contains a directed cycle")
@@ -498,7 +497,7 @@ class BijectionReport:
         )
 
 
-def verify_bijection(region: Region, n: int, free_edge_limit: int = 30) -> BijectionReport:
+def verify_bijection(region: Region, n: int) -> BijectionReport:
     """Check tilings map one-to-one onto the admissible acyclic orientations.
 
     Enumerates every tiling, so the region must be small enough for that.
@@ -507,7 +506,7 @@ def verify_bijection(region: Region, n: int, free_edge_limit: int = 30) -> Bijec
     if total == 0:
         raise NotTileableError(f"region of area {region.area} has no {n}-ribbon tiling")
     graph = build_graph(region, n)
-    admissible = count_admissible_orientations(graph, free_edge_limit)
+    admissible = count_admissible_orientations(graph)
     seen: set[frozenset] = set()
     all_extend = True
     for tiling in enumerate_tilings(region, n):
@@ -545,7 +544,8 @@ class GrowthReport:
         return all(row.ok for row in self.rows)
 
 
-def _induced(graph: SGraph, keep: set[VertexId]) -> SGraph:
+def _prefix(graph: SGraph, top: int) -> SGraph:
+    keep = {v for v in graph.vertices if v.level <= top}
     return SGraph(
         n=graph.n,
         vertices=tuple(v for v in graph.vertices if v in keep),
@@ -554,7 +554,7 @@ def _induced(graph: SGraph, keep: set[VertexId]) -> SGraph:
     )
 
 
-def verify_growth_bounds(region: Region, n: int, free_edge_limit: int = 30) -> GrowthReport:
+def verify_growth_bounds(region: Region, n: int) -> GrowthReport:
     """Check level-by-level growth of admissible orientation counts.
 
     For a rectangle whose row count is a multiple of n, let H_l be the
@@ -570,16 +570,15 @@ def verify_growth_bounds(region: Region, n: int, free_edge_limit: int = 30) -> G
     if (max_y + 1) % n:
         raise ValueError(f"row count {max_y + 1} is not a multiple of n={n}")
     graph = build_graph(region, n)
-    tiles_per_level: dict[int, int] = {}
-    for v in graph.vertices:
-        tiles_per_level[v.level] = tiles_per_level.get(v.level, 0) + 1
+    tiles_per_level = Counter(v.level for v in graph.vertices)
     top = max(tiles_per_level)
     t_max = max(tiles_per_level.values())
     last_widest = max(l for l, t in tiles_per_level.items() if t == t_max)
-    counts = []
-    for level in range(top + 1):
-        keep = {v for v in graph.vertices if v.level <= level}
-        counts.append(count_admissible_orientations(_induced(graph, keep), free_edge_limit))
+    # The whole graph has the most free edges of any prefix, so counting it
+    # first refuses an over-budget region before any prefix is searched.
+    full = count_admissible_orientations(graph)
+    counts = [count_admissible_orientations(_prefix(graph, level)) for level in range(top)]
+    counts.append(full)
     rows = []
     for level in range(1, top + 1):
         t_l = tiles_per_level.get(level, 0)

@@ -171,12 +171,12 @@ def stanley_suite() -> list[Check]:
     return checks
 
 
-def bijection_suite(free_edge_limit: int = 30) -> list[Check]:
+def bijection_suite() -> list[Check]:
     """Tiling/orientation bijection over the whole battery."""
     checks: list[Check] = []
     for label, region, n in bijection_battery():
         try:
-            report = verify_bijection(region, n, free_edge_limit)
+            report = verify_bijection(region, n)
         except ResourceLimitError as exc:
             checks.append(Check(label, "verify_bijection", "bijection", str(exc), SKIPPED))
             continue
@@ -192,9 +192,7 @@ def bijection_suite(free_edge_limit: int = 30) -> list[Check]:
     return checks
 
 
-def growth_suite(
-    cases: list[tuple[str, Region, int]] | None = None, free_edge_limit: int = 30
-) -> list[Check]:
+def growth_suite(cases: list[tuple[str, Region, int]] | None = None) -> list[Check]:
     """Level-growth bounds on rectangles (defaults: 3x6, 3x9, 4x8)."""
     if cases is None:
         cases = [
@@ -205,7 +203,7 @@ def growth_suite(
     checks: list[Check] = []
     for label, region, n in cases:
         try:
-            report = verify_growth_bounds(region, n, free_edge_limit)
+            report = verify_growth_bounds(region, n)
         except ResourceLimitError as exc:
             checks.append(Check(label, "verify_growth_bounds", "bounds hold", str(exc), SKIPPED))
             continue
@@ -219,10 +217,7 @@ SUITE_NAMES = ("formulas", "stanley", "bijection", "growth", "all")
 
 
 def run_suite(
-    name: str,
-    *,
-    free_edge_limit: int = 30,
-    growth_cases: list[tuple[str, Region, int]] | None = None,
+    name: str, *, growth_cases: list[tuple[str, Region, int]] | None = None
 ) -> list[Check]:
     """Run one named suite (or every suite for "all")."""
     if name not in SUITE_NAMES:
@@ -233,7 +228,7 @@ def run_suite(
     if name in ("stanley", "all"):
         checks.extend(stanley_suite())
     if name in ("bijection", "all"):
-        checks.extend(bijection_suite(free_edge_limit))
+        checks.extend(bijection_suite())
     if name in ("growth", "all"):
-        checks.extend(growth_suite(growth_cases, free_edge_limit))
+        checks.extend(growth_suite(growth_cases))
     return checks

@@ -2,16 +2,18 @@
 
 import io
 import json
+import shlex
 import sys
 import xml.etree.ElementTree as ET
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from oracles import fib
 from ribbonry import Tiling, build_rectangle, count_tilings, enumerate_tilings, tiling_to_ascii
-from ribbonry.cli import main
+from ribbonry.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -142,13 +144,26 @@ def test_render_text_from_stdin(capsys, monkeypatch):
     assert out.rstrip("\n") == tiling_to_ascii(tiling)
 
 
-def test_render_rejects_garbage(capsys, monkeypatch):
+def test_render_rejects_garbage(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr("sys.stdin", io.StringIO("{\"tiles\": []}"))
     code, out, err = run(capsys, "render")
     assert code == 1 and "not a tiling" in err
     monkeypatch.setattr("sys.stdin", io.StringIO("not json"))
     code, _, err = run(capsys, "render")
     assert code == 1
+    # Inputs the tiling schema rejects: a list of moves, a fractional root.
+    for tile in ({"root": [0, 0], "moves": ["E"]}, {"root": [0.7, 0], "moves": "E"}):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"tiles": [tile]})))
+        code, out, err = run(capsys, "render")
+        assert (code, out) == (1, ""), tile
+        assert err.startswith("error: not a tiling: "), tile
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"tiles": [{"root": [0, 0], "moves": "\xe9"}]}')
+    monkeypatch.setattr("sys.stdin", io.StringIO("[" * 200000))
+    for argv in (("render", "--in", str(path)), ("render",)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: not a tiling: "), argv
 
 
 def test_graph_dot_output(capsys):
@@ -194,7 +209,8 @@ def test_verify_stanley_report(capsys):
 
 
 def test_verify_resource_limit_skips_not_fails(capsys):
-    code, out, _ = run(capsys, "verify", "bijection", "--free-edge-limit", "2")
+    # 4x16 n=4 has 42 free edges, more than the orientation search's budget.
+    code, out, _ = run(capsys, "verify", "growth", "--rect", "4x16", "--n", "4")
     assert code == 0
     payload = json.loads(out)
     jsonschema.validate(payload, load_schema("report"))
@@ -248,10 +264,32 @@ def test_argparse_rejects_unknown_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])
     assert exc.value.code == 2
-    for removed in (["--threads", "3"], ["--memo-limit", "320"]):
+    for removed in (
+        ["count", "--rect", "3x9", "--n", "3", "--threads", "3"],
+        ["count", "--rect", "3x9", "--n", "3", "--memo-limit", "320"],
+        ["verify", "bijection", "--free-edge-limit", "40"],
+    ):
         with pytest.raises(SystemExit) as exc:
-            main(["count", "--rect", "3x9", "--n", "3", *removed])
+            main(removed)
         assert exc.value.code == 2
+
+
+def test_readme_cli_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        for part in line.split("#", 1)[0].split("|"):
+            words = shlex.split(part.split(">", 1)[0])
+            if words[:1] == ["ribbonry"]:
+                commands.append(words[1:])
+    assert len(commands) >= 10
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README line no longer parses: ribbonry {shlex.join(argv)}")
 
 
 def test_version_flag(capsys):

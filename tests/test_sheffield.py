@@ -38,7 +38,7 @@ from ribbonry import (
     verify_bijection,
     verify_growth_bounds,
 )
-from ribbonry.sheffield import FORCED, FREE, SAME_LEVEL, falling_factorial_poly
+from ribbonry.sheffield import FORCED, FREE, FREE_EDGE_LIMIT, SAME_LEVEL, falling_factorial_poly
 from ribbonry.verify import bijection_battery
 
 GRAPH_BATTERY = [
@@ -177,9 +177,19 @@ def test_admissible_count_matches_exhaustive_oracle():
 
 
 def test_admissible_count_respects_free_edge_limit():
-    graph = build_graph(build_rectangle(3, 6), 3)
+    graph = build_graph(build_rectangle(4, 16), 4)
     with pytest.raises(ResourceLimitError, match="free edges"):
-        count_admissible_orientations(graph, free_edge_limit=3)
+        count_admissible_orientations(graph)
+    # The whole graph is refused first, before any level prefix is searched.
+    with pytest.raises(ResourceLimitError, match="^42 free edges"):
+        verify_growth_bounds(build_rectangle(4, 16), 4)
+
+
+def test_admissible_count_at_free_edge_limit():
+    region = build_rectangle(6, 6)
+    graph = build_graph(region, 3)
+    assert len(graph.free_edges) == FREE_EDGE_LIMIT
+    assert count_admissible_orientations(graph) == count_tilings(region, 3) == 8914
 
 
 def test_bijection_reports():
