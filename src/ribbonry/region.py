@@ -105,11 +105,21 @@ class Tile:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Tile":
+        _reject_unknown_keys(data, {"root", "moves"})
         x, y = data["root"]
         moves = data["moves"]
         if type(x) is not int or type(y) is not int or not isinstance(moves, str):
             raise TypeError(f"tile needs an integer root and string moves, got {data!r}")
         return cls(Cell(x, y), RibbonShape(moves))
+
+
+def _reject_unknown_keys(data: dict, allowed: set[str]) -> None:
+    """The tiling schema sets additionalProperties: false on tilings and tiles."""
+    if not isinstance(data, dict):
+        raise TypeError(f"expected a JSON object, got {type(data).__name__}")
+    unknown = data.keys() - allowed
+    if unknown:
+        raise ValueError(f"unknown keys {sorted(unknown)}")
 
 
 class RegionParseError(ValueError):
@@ -300,6 +310,7 @@ class Tiling:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Tiling":
+        _reject_unknown_keys(data, {"tiles"})
         tiles = [Tile.from_json_dict(t) for t in data["tiles"]]
         if not tiles:
             raise ValueError("tiling has no tiles")

@@ -34,11 +34,6 @@ from .region import Cell, Region, Tile, Tiling
 SAME_LEVEL = "same_level"
 FREE = "free"
 FORCED = "forced_n"
-FREE_EDGE_LIMIT = 30  # most free edges count_admissible_orientations searches
-
-
-class ResourceLimitError(RuntimeError):
-    """Raised when a graph has more free edges than FREE_EDGE_LIMIT."""
 
 
 class GraphInconsistencyError(RuntimeError):
@@ -226,53 +221,68 @@ def orientation_from_tiling(tiling: Tiling, graph: SGraph) -> frozenset[tuple[Ve
     return result
 
 
+def _prefix_counts(graph: SGraph) -> list[int]:
+    """A_l for l = 0..top: admissible orientations of the levels <= l subgraph.
+
+    One pass over the vertices in (level, rank) order.  Each free edge and
+    tau arc is decided at its later endpoint.  A state is the reachability
+    relation among the live vertices, those with a neighbour still to come,
+    stored as one bitmask per live vertex; a vertex retires once its last
+    neighbour has joined.  An arc a -> b is allowed iff b does not already
+    reach a, and the state counts summed after a level give its prefix count.
+    """
+    order = sorted(graph.vertices)
+    pos = {v: i for i, v in enumerate(order)}
+    options: list[list[tuple[tuple[int, int], ...]]] = [[] for _ in order]
+    last = list(range(len(order)))  # position of each vertex's last neighbour
+    choices = [((a, b),) for a, b in graph.tau]
+    choices += [((e.u, e.v), (e.v, e.u)) for e in graph.free_edges]
+    for choice in choices:
+        arcs = tuple((pos[a], pos[b]) for a, b in choice)
+        u, v = sorted(arcs[0])
+        options[v].append(arcs)
+        last[u] = max(last[u], v)
+    live: list[int] = []
+    states: dict[tuple[int, ...], int] = {(): 1}
+    counts: list[int] = []
+    for v, vertex in enumerate(order):
+        while len(counts) < vertex.level:
+            counts.append(sum(states.values()))
+        live.append(v)
+        slot = {p: k for k, p in enumerate(live)}
+        states = {state + (1 << v,): ways for state, ways in states.items()}
+        for arcs in options[v]:
+            grown: dict[tuple[int, ...], int] = {}
+            for state, ways in states.items():
+                for a, b in arcs:
+                    reach_b = state[slot[b]]
+                    if reach_b >> a & 1:
+                        continue  # b reaches a: the arc would close a cycle
+                    key = tuple(m | reach_b if m >> a & 1 else m for m in state)
+                    grown[key] = grown.get(key, 0) + ways
+            states = grown
+        keep = [k for k, p in enumerate(live) if last[p] > v]
+        gone = sum(1 << p for p in live if last[p] <= v)
+        merged: dict[tuple[int, ...], int] = {}
+        for state, ways in states.items():
+            key = tuple(state[k] & ~gone for k in keep)
+            merged[key] = merged.get(key, 0) + ways
+        states = merged
+        live = [live[k] for k in keep]
+    counts.append(sum(states.values()))
+    return counts
+
+
 def count_admissible_orientations(graph: SGraph) -> int:
     """Number of acyclic orientations of the graph that extend tau.
 
-    Exhaustive over the free edges with incremental cycle detection.  Any
-    acyclic partial assignment extends to a full acyclic orientation (orient
-    the rest along a topological order), so the search tree carries no dead
-    subtrees and runtime is proportional to the result.  Raises
-    ResourceLimitError on a graph with more than FREE_EDGE_LIMIT free edges.
+    Counted by one level-window pass (see _prefix_counts), whose states
+    span only the vertices within n levels of the current one, so the run
+    time does not grow with the count returned.
     """
-    free = graph.free_edges
-    if len(free) > FREE_EDGE_LIMIT:
-        raise ResourceLimitError(
-            f"{len(free)} free edges exceed the limit of {FREE_EDGE_LIMIT}"
-        )
     if not is_acyclic(graph.vertices, graph.tau):
         raise GraphInconsistencyError("fixed arc set tau contains a directed cycle")
-    out: dict[VertexId, set[VertexId]] = {v: set() for v in graph.vertices}
-    for a, b in graph.tau:
-        out[a].add(b)
-
-    def reachable(src: VertexId, dst: VertexId) -> bool:
-        if src == dst:
-            return True
-        stack = [src]
-        seen = {src}
-        while stack:
-            for nxt in out[stack.pop()]:
-                if nxt == dst:
-                    return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return False
-
-    def assign(i: int) -> int:
-        if i == len(free):
-            return 1
-        edge = free[i]
-        total = 0
-        for a, b in ((edge.u, edge.v), (edge.v, edge.u)):
-            if not reachable(b, a):  # a -> b stays acyclic
-                out[a].add(b)
-                total += assign(i + 1)
-                out[a].remove(b)
-        return total
-
-    return assign(0)
+    return _prefix_counts(graph)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -544,16 +554,6 @@ class GrowthReport:
         return all(row.ok for row in self.rows)
 
 
-def _prefix(graph: SGraph, top: int) -> SGraph:
-    keep = {v for v in graph.vertices if v.level <= top}
-    return SGraph(
-        n=graph.n,
-        vertices=tuple(v for v in graph.vertices if v in keep),
-        edges=tuple(e for e in graph.edges if e.u in keep and e.v in keep),
-        tau=frozenset((a, b) for a, b in graph.tau if a in keep and b in keep),
-    )
-
-
 def verify_growth_bounds(region: Region, n: int) -> GrowthReport:
     """Check level-by-level growth of admissible orientation counts.
 
@@ -574,11 +574,7 @@ def verify_growth_bounds(region: Region, n: int) -> GrowthReport:
     top = max(tiles_per_level)
     t_max = max(tiles_per_level.values())
     last_widest = max(l for l, t in tiles_per_level.items() if t == t_max)
-    # The whole graph has the most free edges of any prefix, so counting it
-    # first refuses an over-budget region before any prefix is searched.
-    full = count_admissible_orientations(graph)
-    counts = [count_admissible_orientations(_prefix(graph, level)) for level in range(top)]
-    counts.append(full)
+    counts = _prefix_counts(graph)
     rows = []
     for level in range(1, top + 1):
         t_l = tiles_per_level.get(level, 0)

@@ -151,12 +151,18 @@ def test_render_rejects_garbage(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr("sys.stdin", io.StringIO("not json"))
     code, _, err = run(capsys, "render")
     assert code == 1
-    # Inputs the tiling schema rejects: a list of moves, a fractional root.
-    for tile in ({"root": [0, 0], "moves": ["E"]}, {"root": [0.7, 0], "moves": "E"}):
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"tiles": [tile]})))
+    # Inputs the tiling schema rejects: a list of moves, a fractional root,
+    # a stray tile key, a stray top-level key.
+    for doc in (
+        {"tiles": [{"root": [0, 0], "moves": ["E"]}]},
+        {"tiles": [{"root": [0.7, 0], "moves": "E"}]},
+        {"tiles": [{"root": [0, 0], "moves": "E", "color": "red"}]},
+        {"tiles": [{"root": [0, 0], "moves": "E"}], "extra": 1},
+    ):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
         code, out, err = run(capsys, "render")
-        assert (code, out) == (1, ""), tile
-        assert err.startswith("error: not a tiling: "), tile
+        assert (code, out) == (1, ""), doc
+        assert err.startswith("error: not a tiling: "), doc
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"tiles": [{"root": [0, 0], "moves": "\xe9"}]}')
     monkeypatch.setattr("sys.stdin", io.StringIO("[" * 200000))
@@ -208,15 +214,15 @@ def test_verify_stanley_report(capsys):
     assert payload["passed"] == len(payload["checks"]) > 0
 
 
-def test_verify_resource_limit_skips_not_fails(capsys):
-    # 4x16 n=4 has 42 free edges, more than the orientation search's budget.
+def test_verify_growth_checks_large_rectangle(capsys):
+    # 4x16 n=4 has 42 free edges, too many to visit orientations one by one.
     code, out, _ = run(capsys, "verify", "growth", "--rect", "4x16", "--n", "4")
     assert code == 0
     payload = json.loads(out)
     jsonschema.validate(payload, load_schema("report"))
     assert payload["ok"] is True
-    assert payload["skipped"] > 0
-    assert any(c["status"] == "skipped" for c in payload["checks"])
+    assert payload["skipped"] == 0
+    assert [c["status"] for c in payload["checks"]] == ["pass"]
 
 
 def test_verify_text_format(capsys):
@@ -235,6 +241,9 @@ def test_usage_errors_exit_2(capsys):
         ("count", "--stair", "M=7,n=3", "--n", "4"),
         ("count", "--grid", "/nonexistent/grid.txt", "--n", "2"),
         ("verify", "formulas", "--rect", "2x2", "--n", "2"),
+        ("verify", "growth", "--stair", "M=4,n=3"),
+        ("verify", "growth", "--aztec", "N=2,n=2"),
+        ("verify", "growth", "--rect", "4x6", "--n", "3"),
     ]
     for argv in cases:
         code, out, err = run(capsys, *argv)
@@ -274,7 +283,7 @@ def test_argparse_rejects_unknown_command(capsys):
         assert exc.value.code == 2
 
 
-def test_readme_cli_lines_parse():
+def _readme_cli_commands() -> list[list[str]]:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     commands = []
@@ -283,6 +292,11 @@ def test_readme_cli_lines_parse():
             words = shlex.split(part.split(">", 1)[0])
             if words[:1] == ["ribbonry"]:
                 commands.append(words[1:])
+    return commands
+
+
+def test_readme_cli_lines_parse():
+    commands = _readme_cli_commands()
     assert len(commands) >= 10
     parser = build_parser()
     for argv in commands:
@@ -290,6 +304,15 @@ def test_readme_cli_lines_parse():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README line no longer parses: ribbonry {shlex.join(argv)}")
+
+
+def test_readme_verify_lines_pass(capsys):
+    commands = [argv for argv in _readme_cli_commands() if argv[:1] == ["verify"]]
+    assert len(commands) >= 3
+    for argv in commands:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert json.loads(out)["skipped"] == 0, argv
 
 
 def test_version_flag(capsys):

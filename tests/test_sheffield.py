@@ -16,7 +16,6 @@ from oracles import (
 from ribbonry import (
     ChromaticPoly,
     GraphInconsistencyError,
-    ResourceLimitError,
     SEdge,
     SGraph,
     VertexId,
@@ -38,7 +37,7 @@ from ribbonry import (
     verify_bijection,
     verify_growth_bounds,
 )
-from ribbonry.sheffield import FORCED, FREE, FREE_EDGE_LIMIT, SAME_LEVEL, falling_factorial_poly
+from ribbonry.sheffield import FORCED, FREE, SAME_LEVEL, falling_factorial_poly
 from ribbonry.verify import bijection_battery
 
 GRAPH_BATTERY = [
@@ -176,20 +175,13 @@ def test_admissible_count_matches_exhaustive_oracle():
         assert count_admissible_orientations(graph) == want
 
 
-def test_admissible_count_respects_free_edge_limit():
-    graph = build_graph(build_rectangle(4, 16), 4)
-    with pytest.raises(ResourceLimitError, match="free edges"):
-        count_admissible_orientations(graph)
-    # The whole graph is refused first, before any level prefix is searched.
-    with pytest.raises(ResourceLimitError, match="^42 free edges"):
-        verify_growth_bounds(build_rectangle(4, 16), 4)
-
-
-def test_admissible_count_at_free_edge_limit():
-    region = build_rectangle(6, 6)
-    graph = build_graph(region, 3)
-    assert len(graph.free_edges) == FREE_EDGE_LIMIT
-    assert count_admissible_orientations(graph) == count_tilings(region, 3) == 8914
+def test_admissible_count_matches_tilings_on_large_graphs():
+    for rows, cols, n, free in [(6, 6, 3, 30), (4, 16, 4, 42), (4, 40, 4, 114), (5, 40, 5, 150)]:
+        region = build_rectangle(rows, cols)
+        graph = build_graph(region, n)
+        assert len(graph.free_edges) == free
+        assert count_admissible_orientations(graph) == count_tilings(region, n), (rows, cols, n)
+    assert count_admissible_orientations(build_graph(build_rectangle(4, 16), 4)) == 5_778_250
 
 
 def test_bijection_reports():
@@ -261,6 +253,15 @@ def test_stanley_acyclic_orientation_identity():
         want = count_acyclic_oracle(graph.vertices, [(e.u, e.v) for e in graph.edges])
         assert acyclic_count_via_chromatic(graph) == want
         assert abs(chromatic_polynomial(graph)(-1)) == want
+        # With every edge free and tau empty, the orientation pass counts
+        # plain acyclic orientations, which the chromatic engine gives too.
+        all_free = SGraph(
+            n=graph.n,
+            vertices=graph.vertices,
+            edges=tuple(SEdge(e.u, e.v, FREE) for e in graph.edges),
+            tau=frozenset(),
+        )
+        assert count_admissible_orientations(all_free) == acyclic_count_via_chromatic(graph)
 
 
 def _padded(coeffs) -> tuple[int, ...]:
@@ -424,6 +425,9 @@ def test_growth_larger_rectangles():
     assert report.ok
     assert report.counts == (1, 2, 6, 24, 60, 160, 455, 1379)
     assert report.counts[-1] == count_tilings(build_rectangle(4, 8), 4)
+    report = verify_growth_bounds(build_rectangle(5, 40), 5)
+    assert report.ok
+    assert report.counts[-1] == count_tilings(build_rectangle(5, 40), 5)
 
 
 def test_growth_rejects_bad_regions():
