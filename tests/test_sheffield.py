@@ -176,12 +176,21 @@ def test_admissible_count_matches_exhaustive_oracle():
 
 
 def test_admissible_count_matches_tilings_on_large_graphs():
-    for rows, cols, n, free in [(6, 6, 3, 30), (4, 16, 4, 42), (4, 40, 4, 114), (5, 40, 5, 150)]:
+    for rows, cols, n, free in [(4, 16, 4, 42), (4, 40, 4, 114), (5, 40, 5, 150)]:
         region = build_rectangle(rows, cols)
         graph = build_graph(region, n)
         assert len(graph.free_edges) == free
         assert count_admissible_orientations(graph) == count_tilings(region, n), (rows, cols, n)
     assert count_admissible_orientations(build_graph(build_rectangle(4, 16), 4)) == 5_778_250
+
+
+def test_admissible_count_at_free_edge_limit():
+    # 30 free edges: the most the earlier one-orientation-at-a-time search
+    # accepted. The level-window pass has no such limit; this is its edge case.
+    region = build_rectangle(6, 6)
+    graph = build_graph(region, 3)
+    assert len(graph.free_edges) == 30
+    assert count_admissible_orientations(graph) == count_tilings(region, 3) == 8914
 
 
 def test_bijection_reports():
