@@ -28,7 +28,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
-from .enumeration import NotTileableError, count_tilings, enumerate_tilings
+from .enumeration import NotTileableError, enumerate_tilings
 from .region import Cell, Region, Tile, Tiling
 
 SAME_LEVEL = "same_level"
@@ -108,21 +108,16 @@ def _first_tiling(region: Region, n: int) -> Tiling:
 
 def tile_levels(region: Region, n: int) -> dict[int, int]:
     """Number of tiles rooted at each level (a tiling-independent profile)."""
-    profile: dict[int, int] = {}
-    for tile in _first_tiling(region, n).tiles:
-        profile[tile.root.level] = profile.get(tile.root.level, 0) + 1
+    profile = Counter(tile.root.level for tile in _first_tiling(region, n).tiles)
     return dict(sorted(profile.items()))
 
 
 def _forced_arc(u: VertexId, u_tile: Tile, v: VertexId, v_tile: Tile) -> tuple[VertexId, VertexId]:
     """Direction of an exactly-n-apart pair, read off one tiling.
 
-    With u the lower tile, v sits to u's right exactly when v's root lies
-    strictly east of u's top cell; the arc runs left tile -> right tile.
+    u must be the lower tile.  v sits to u's right exactly when v's root
+    lies strictly east of u's top cell; the arc runs left tile -> right tile.
     """
-    if u.level > v.level:
-        u, v = v, u
-        u_tile, v_tile = v_tile, u_tile
     return (u, v) if v_tile.root.x > u_tile.top.x else (v, u)
 
 
@@ -136,7 +131,7 @@ def build_graph(region: Region, n: int) -> SGraph:
         for v in vertices[i + 1 :]:
             gap = v.level - u.level
             if gap > n:
-                continue
+                break  # vertices ascend by level: the rest are further up
             if gap == 0:
                 edges.append(SEdge(u, v, SAME_LEVEL))
                 tau.add((u, v))  # ranks ascend left to right
@@ -152,30 +147,25 @@ def build_graph(region: Region, n: int) -> SGraph:
 
 
 def is_acyclic(vertices: Iterable[VertexId], arcs: Iterable[tuple[VertexId, VertexId]]) -> bool:
+    """True iff the arcs form no directed cycle (a self-loop counts as one).
+
+    Kahn's peeling: repeatedly remove vertices with no incoming arc; the
+    arcs are acyclic exactly when every vertex is removed.
+    """
     out: dict[VertexId, list[VertexId]] = {v: [] for v in vertices}
+    indegree = dict.fromkeys(out, 0)
     for a, b in arcs:
         out[a].append(b)
-    state: dict[VertexId, int] = {}  # 1 = on stack, 2 = done
-    for start in out:
-        if state.get(start):
-            continue
-        stack: list[tuple[VertexId, Iterator[VertexId]]] = [(start, iter(out[start]))]
-        state[start] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if state.get(nxt) == 1:
-                    return False
-                if not state.get(nxt):
-                    state[nxt] = 1
-                    stack.append((nxt, iter(out[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                state[node] = 2
-                stack.pop()
-    return True
+        indegree[b] += 1
+    sources = [v for v, d in indegree.items() if d == 0]
+    peeled = 0
+    while sources:
+        peeled += 1
+        for b in out[sources.pop()]:
+            indegree[b] -= 1
+            if indegree[b] == 0:
+                sources.append(b)
+    return peeled == len(out)
 
 
 def _light_arc(u: VertexId, u_tile: Tile, v: VertexId, v_tile: Tile) -> tuple[VertexId, VertexId]:
@@ -278,11 +268,15 @@ def count_admissible_orientations(graph: SGraph) -> int:
 
     Counted by one level-window pass (see _prefix_counts), whose states
     span only the vertices within n levels of the current one, so the run
-    time does not grow with the count returned.
+    time does not grow with the count returned.  An acyclic tau always has
+    an extension (orient each free edge along a topological order), and the
+    pass refuses the arc that closes any cycle of tau, so a count of 0 means
+    tau is cyclic; that raises GraphInconsistencyError.
     """
-    if not is_acyclic(graph.vertices, graph.tau):
+    count = _prefix_counts(graph)[-1]
+    if count == 0:
         raise GraphInconsistencyError("fixed arc set tau contains a directed cycle")
-    return _prefix_counts(graph)[-1]
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -375,31 +369,27 @@ def _chromatic(adj: dict[int, set[int]]) -> list[int]:
     return _psub(_chromatic(deleted), _chromatic(contracted))
 
 
-def chromatic_polynomial(graph, edges: Iterable[tuple] | None = None) -> ChromaticPoly:
-    """Chromatic polynomial by deletion-contraction.
+def chromatic_polynomial(graph: SGraph) -> ChromaticPoly:
+    """Chromatic polynomial of the graph's underlying undirected graph.
 
-    Accepts either an SGraph (edge classes ignored, orientations dropped) or
-    a (vertices, edges) pair of hashables.
+    Computed by deletion-contraction; edge classes and tau directions are
+    ignored.  SEdge refuses a loop, so every graph has proper colorings.
     """
-    if edges is None and isinstance(graph, SGraph):
-        vertices: list = list(graph.vertices)
-        pairs = [(e.u, e.v) for e in graph.edges]
-    else:
-        vertices = list(graph)
-        pairs = [(a, b) for a, b in edges or []]
-    index = {v: i for i, v in enumerate(vertices)}
-    adj: dict[int, set[int]] = {i: set() for i in range(len(vertices))}
-    for a, b in pairs:
-        if a == b:
-            raise ValueError(f"loop at {a!r} has no proper colorings")
-        adj[index[a]].add(index[b])
-        adj[index[b]].add(index[a])
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    adj: dict[int, set[int]] = {i: set() for i in index.values()}
+    for e in graph.edges:
+        adj[index[e.u]].add(index[e.v])
+        adj[index[e.v]].add(index[e.u])
     return ChromaticPoly(tuple(_chromatic(adj)))
 
 
-def acyclic_count_via_chromatic(graph, edges: Iterable[tuple] | None = None) -> int:
-    """Number of acyclic orientations of an undirected graph: |chi(-1)|."""
-    return abs(chromatic_polynomial(graph, edges)(-1))
+def acyclic_count_via_chromatic(graph: SGraph) -> int:
+    """Number of acyclic orientations of the underlying undirected graph.
+
+    Stanley's theorem gives it as |chi(-1)|.  Every edge counts as free and
+    tau is ignored; count_admissible_orientations counts those extending tau.
+    """
+    return abs(chromatic_polynomial(graph)(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -408,12 +398,11 @@ def acyclic_count_via_chromatic(graph, edges: Iterable[tuple] | None = None) -> 
 
 def _refine_colors(graph: SGraph) -> dict[VertexId, int]:
     incident: dict[VertexId, list[tuple[str, str, VertexId]]] = {v: [] for v in graph.vertices}
-    tau = set(graph.tau)
     for e in graph.edges:
         if e.cls == FREE:
             du = dv = "-"
         else:
-            du, dv = ("out", "in") if (e.u, e.v) in tau else ("in", "out")
+            du, dv = ("out", "in") if (e.u, e.v) in graph.tau else ("in", "out")
         incident[e.u].append((e.cls, du, e.v))
         incident[e.v].append((e.cls, dv, e.u))
     color = {v: 0 for v in graph.vertices}
@@ -496,39 +485,33 @@ class BijectionReport:
     tiling_count: int
     orientation_count: int
     injective: bool
-    all_extend_tau: bool
 
     @property
     def ok(self) -> bool:
-        return (
-            self.tiling_count == self.orientation_count
-            and self.injective
-            and self.all_extend_tau
-        )
+        return self.tiling_count == self.orientation_count and self.injective
 
 
 def verify_bijection(region: Region, n: int) -> BijectionReport:
     """Check tilings map one-to-one onto the admissible acyclic orientations.
 
-    Enumerates every tiling, so the region must be small enough for that.
+    Walks every tiling once, so the region must be small enough for that.
+    Each tiling's orientation extends tau by construction and is checked
+    acyclic by orientation_from_tiling; the walk's tiling count is compared
+    with count_admissible_orientations, an independent engine, and the
+    orientations must be pairwise distinct.  Raises NotTileableError if the
+    region has no tiling.
     """
-    total = count_tilings(region, n)
-    if total == 0:
-        raise NotTileableError(f"region of area {region.area} has no {n}-ribbon tiling")
     graph = build_graph(region, n)
     admissible = count_admissible_orientations(graph)
     seen: set[frozenset] = set()
-    all_extend = True
+    total = 0
     for tiling in enumerate_tilings(region, n):
-        orientation = orientation_from_tiling(tiling, graph)
-        if not orientation >= graph.tau:
-            all_extend = False
-        seen.add(orientation)
+        seen.add(orientation_from_tiling(tiling, graph))
+        total += 1
     return BijectionReport(
         tiling_count=total,
         orientation_count=admissible,
         injective=len(seen) == total,
-        all_extend_tau=all_extend,
     )
 
 
@@ -599,8 +582,6 @@ def verify_growth_bounds(region: Region, n: int) -> GrowthReport:
 
 def to_dot(graph: SGraph) -> str:
     """Graphviz rendering: tau arcs solid and directed, free edges dashed."""
-    tau = set(graph.tau)
-
     def name(v: VertexId) -> str:
         return f"L{v.level}R{v.rank}"
 
@@ -611,7 +592,7 @@ def to_dot(graph: SGraph) -> str:
         if e.cls == FREE:
             lines.append(f"  {name(e.u)} -> {name(e.v)} [style=dashed, dir=none];")
         else:
-            a, b = (e.u, e.v) if (e.u, e.v) in tau else (e.v, e.u)
+            a, b = (e.u, e.v) if (e.u, e.v) in graph.tau else (e.v, e.u)
             lines.append(f'  {name(a)} -> {name(b)} [style=solid, class="{e.cls}"];')
     lines.append("}")
     return "\n".join(lines)

@@ -7,7 +7,7 @@ the package's acceptance tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import formulas
 from .enumeration import count_minimal, count_tilings, count_variable
@@ -27,13 +27,7 @@ class Check:
     status: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "source": self.source,
-            "expected": self.expected,
-            "actual": self.actual,
-            "status": self.status,
-        }
+        return asdict(self)
 
 
 def _check(name: str, source: str, expected: object, actual: object) -> Check:

@@ -197,30 +197,69 @@ def test_bijection_reports():
     report = verify_bijection(build_rectangle(3, 6), 3)
     assert report.ok
     assert report.tiling_count == report.orientation_count == 61
-    assert report.injective and report.all_extend_tau
+    assert report.injective
     assert verify_bijection(parse_region(".##.\n####\n####\n.##."), 2).ok
 
 
-def test_is_acyclic():
+def test_admissible_count_refuses_cyclic_tau():
     a, b, c = VertexId(0, 1), VertexId(1, 1), VertexId(2, 1)
+    edges = (SEdge(a, b, FORCED), SEdge(b, c, FORCED), SEdge(a, c, FORCED))
+    cyclic = SGraph(n=1, vertices=(a, b, c), edges=edges, tau=frozenset({(a, b), (b, c), (c, a)}))
+    with pytest.raises(GraphInconsistencyError, match="directed cycle"):
+        count_admissible_orientations(cyclic)
+    acyclic = SGraph(n=1, vertices=(a, b, c), edges=edges, tau=frozenset({(a, b), (b, c), (a, c)}))
+    assert count_admissible_orientations(acyclic) == 1
+
+
+def test_is_acyclic():
+    a, b, c, d = (VertexId(level, 1) for level in range(4))
+    e, f = VertexId(4, 1), VertexId(5, 1)
     assert is_acyclic([a, b, c], [(a, b), (b, c), (a, c)])
     assert not is_acyclic([a, b, c], [(a, b), (b, c), (c, a)])
+    assert not is_acyclic([a, b], [(a, a)])
+    assert not is_acyclic([a, b], [(a, b), (b, a)])
+    assert is_acyclic([a], [])
+    assert is_acyclic([a, b, c], [(a, b)])
+    # The cycle b -> c -> d -> b is reachable only through a.
+    assert not is_acyclic([a, b, c, d], [(a, b), (b, c), (c, d), (d, b)])
+    assert is_acyclic([a, b, c, d, e, f], [(b, a), (c, a), (d, e), (e, f), (d, f)])
+
+
+def _free_graph(vertices, pairs) -> SGraph:
+    """Plain undirected graph: every edge FREE, tau empty."""
+    edges = tuple(SEdge(*sorted(pair), FREE) for pair in pairs)
+    return SGraph(n=2, vertices=tuple(vertices), edges=edges, tau=frozenset())
 
 
 def test_chromatic_small_graphs():
-    a, b, c = "a", "b", "c"
-    path = chromatic_polynomial([a, b, c], [(a, b), (b, c)])
+    a, b, c, d = (VertexId(0, rank) for rank in range(4))
+    path = chromatic_polynomial(_free_graph([a, b, c], [(a, b), (b, c)]))
     assert path.coeffs == (0, 1, -2, 1)
     assert path(3) == 12
     assert abs(path(-1)) == 4
-    triangle = chromatic_polynomial([a, b, c], [(a, b), (b, c), (a, c)])
+    triangle = chromatic_polynomial(_free_graph([a, b, c], [(a, b), (b, c), (a, c)]))
     assert triangle.coeffs == (0, 2, -3, 1)
-    empty = chromatic_polynomial([a, b], [])
+    empty = chromatic_polynomial(_free_graph([a, b], []))
     assert empty.coeffs == (0, 0, 1)
-    two_edges = chromatic_polynomial("abcd", [("a", "b"), ("c", "d")])
-    assert two_edges.coeffs == tuple(poly_mul((0, -1, 1), (0, -1, 1)))
-    with pytest.raises(ValueError, match="loop"):
-        chromatic_polynomial([a], [(a, a)])
+    matching = chromatic_polynomial(_free_graph([a, b, c, d], [(a, b), (c, d)]))
+    assert matching.coeffs == tuple(poly_mul((0, -1, 1), (0, -1, 1)))
+    with pytest.raises(ValueError, match="ordered"):
+        SEdge(a, a, FREE)
+
+
+def test_chromatic_on_cycles():
+    # Tile graphs are unit-interval graphs, hence chordal; cycles of length
+    # four and up are not, so they reach deletion-contraction paths the
+    # tile-graph tests cannot.
+    for lengths in ([4], [5], [6], [3, 3]):
+        graph = _cycle_graph(lengths)
+        poly = chromatic_polynomial(graph)
+        edges = [(e.u, e.v) for e in graph.edges]
+        for colors in range(5):
+            assert poly(colors) == count_colorings_oracle(graph.vertices, edges, colors)
+    for m in (4, 5, 6):
+        assert acyclic_count_via_chromatic(_cycle_graph([m])) == 2**m - 2
+    assert chromatic_polynomial(_cycle_graph([4])).coeffs == (0, -3, 6, -4, 1)
 
 
 def test_chromatic_matches_coloring_oracle():
@@ -312,16 +351,14 @@ def test_falling_factorial_poly():
 
 def _cycle_graph(lengths: list[int]) -> SGraph:
     vertices = []
-    edges = []
+    pairs = []
     base = 0
     for li, length in enumerate(lengths):
         ring = [VertexId(li, base + i) for i in range(length)]
         vertices.extend(ring)
-        for i in range(length):
-            u, w = sorted((ring[i], ring[(i + 1) % length]))
-            edges.append(SEdge(u, w, FREE))
+        pairs.extend((ring[i], ring[(i + 1) % length]) for i in range(length))
         base += length
-    return SGraph(n=2, vertices=tuple(vertices), edges=tuple(edges), tau=frozenset())
+    return _free_graph(vertices, pairs)
 
 
 def _assert_witness(g1: SGraph, g2: SGraph, mapping: dict) -> None:
