@@ -18,18 +18,31 @@ state combines the values of its children.  Plain counts use leaf 1 and sum;
 `count_minimal` uses leaf (0, 1) and a min-plus combine.  The fold and the
 enumeration walk keep their own explicit stacks, so region size, not search
 depth, bounds what can be counted or listed.
+
+A completion count depends only on the region and n, not on the seed, so
+`sample_tiling` keeps the counted searchers of recently sampled (region, n)
+pairs, least recently used first out, up to `_TABLE_BUDGET` memo states in
+all; a table larger than the whole budget is not kept.  A draw reads the same
+complete memo whether or not it was cached, so each seed gives the same
+tiling.  Counting and enumeration never use these tables, and a new process
+starts with none.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import threading
+from collections import OrderedDict
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from .region import Region, RibbonShape, Tile, Tiling
 
 _V = TypeVar("_V")
+
+#: Memo states, summed over every table, that the sampler's cache may keep.
+_TABLE_BUDGET = 1 << 17
 
 
 class NotTileableError(ValueError):
@@ -143,6 +156,38 @@ class _Searcher:
                     tiles.pop()
 
 
+class _TableCache:
+    """Counted searchers of recently sampled (region, n), least recent first."""
+
+    def __init__(self) -> None:
+        self.tables: OrderedDict[tuple[Region, int], _Searcher] = OrderedDict()
+        self.states = 0  # memo states over all kept tables
+        self._lock = threading.Lock()  # sample_tiling may run on several threads at once
+
+    def get(self, region: Region, n: int) -> _Searcher:
+        """The searcher for (region, n) with its memo complete from state 0."""
+        key = (region, n)
+        with self._lock:
+            searcher = self.tables.get(key)
+            if searcher is not None:
+                self.tables.move_to_end(key)
+                return searcher
+        searcher = _Searcher(region, [n])
+        searcher.count(0)
+        size = len(searcher.memo)
+        with self._lock:
+            if size <= _TABLE_BUDGET and key not in self.tables:
+                self.tables[key] = searcher
+                self.states += size
+                while self.states > _TABLE_BUDGET:
+                    _, evicted = self.tables.popitem(last=False)
+                    self.states -= len(evicted.memo)
+        return searcher
+
+
+_tables = _TableCache()
+
+
 def count_tilings(region: Region, n: int) -> int:
     """Number of tilings of the region by n-ribbons (0 if there are none)."""
     if n < 1:
@@ -183,12 +228,15 @@ def sample_tiling(region: Region, n: int, seed: int) -> Tiling:
     Each step places the tile at the minimal uncovered cell with probability
     proportional to the number of completions after it, so every full tiling
     comes out with probability exactly 1 / count_tilings.
+
+    The completion counts are kept for later calls in the same process (see
+    the module docstring), so repeated draws from one region count it once.
     """
     if n < 1:
         raise ValueError(f"ribbon length must be positive, got {n}")
     if region.area % n:
         raise NotTileableError(f"area {region.area} is not a multiple of {n}")
-    searcher = _Searcher(region, [n])
+    searcher = _tables.get(region, n)
     total = searcher.count(0)
     if total == 0:
         raise NotTileableError(f"region of area {region.area} has no {n}-ribbon tiling")

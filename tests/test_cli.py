@@ -115,6 +115,33 @@ def test_sample_deterministic(capsys):
     assert other != first
 
 
+def test_parser_reuse_keeps_calls_apart(capsys):
+    sample = ["sample", "--rect", "3x3", "--n", "3", "--seed", "4"]
+    code, text, _ = run(capsys, *sample, "--format", "text")
+    assert code == 0
+    code, out, _ = run(capsys, *sample)
+    assert code == 0
+    jsonschema.validate(json.loads(out), load_schema("tiling"))
+    assert tiling_to_ascii(Tiling.from_json(out)) + "\n" == text
+    bad = ["sample", "--rect", "3x3", "--n", "3", "--format", "svg"]
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(bad)
+    fresh = capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == fresh
+    assert run(capsys, "count", "--rect", "3x6") == (2, "", "error: --n is required with --rect\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("ribbonry ")
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert build_parser() is not build_parser()
+
+
 def test_sample_untileable_fails(capsys):
     code, out, err = run(capsys, "sample", "--rect", "2x3", "--n", "4")
     assert code == 1

@@ -25,6 +25,7 @@ from ribbonry import (
     sample_tiling,
     tiling_probability,
 )
+from ribbonry import enumeration
 from ribbonry.enumeration import _Searcher
 
 ORACLE_BATTERY = [
@@ -202,6 +203,62 @@ def test_sampler_errors():
         sample_tiling(build_rectangle(2, 3), 4, seed=0)
     with pytest.raises(NotTileableError):
         sample_tiling(parse_region("#.\n.#"), 2, seed=0)
+
+
+def fresh_tables(monkeypatch) -> enumeration._TableCache:
+    """Give sample_tiling an empty table cache for the rest of the test."""
+    cache = enumeration._TableCache()
+    monkeypatch.setattr(enumeration, "_tables", cache)
+    return cache
+
+
+def test_cached_tables_draw_as_cold_ones(monkeypatch):
+    # Each region is rebuilt per draw, as the CLI does, so hits go by equality.
+    regions = [
+        (build_rectangle, (3, 3), 3),
+        (build_rectangle, (4, 8), 4),
+        (build_stair, (10, 4), 4),
+        (build_aztec, (5, 3, 1), 3),
+    ]
+    cold = {}
+    for build, args, n in regions:
+        for seed in range(50):
+            fresh_tables(monkeypatch)
+            cold[args, seed] = sample_tiling(build(*args), n, seed)
+    cache = fresh_tables(monkeypatch)
+    for seed in range(50):
+        for build, args, n in regions:
+            assert sample_tiling(build(*args), n, seed) == cold[args, seed], (args, seed)
+    assert len(cache.tables) == len(regions)
+
+
+def test_untileable_region_raises_again_from_cache(monkeypatch):
+    cache = fresh_tables(monkeypatch)
+    region = parse_region("#.\n.#")
+    for _ in range(2):
+        with pytest.raises(NotTileableError, match="no 2-ribbon tiling"):
+            sample_tiling(region, 2, seed=0)
+    assert list(cache.tables) == [(region, 2)]
+
+
+def test_table_cache_stays_within_budget(monkeypatch):
+    monkeypatch.setattr(enumeration, "_TABLE_BUDGET", 100)
+    cache = fresh_tables(monkeypatch)
+    # Memo states: 3x3 n=3 11, 3x7 n=3 43, stair(10, 4) 28, 3x6 n=3 35, 4x8 n=4 292.
+    small, mid = (build_rectangle(3, 3), 3), (build_rectangle(3, 7), 3)
+    stair, other = (build_stair(10, 4), 4), (build_rectangle(3, 6), 3)
+    steps = [
+        (small, [small]),
+        (mid, [small, mid]),
+        (stair, [small, mid, stair]),
+        (small, [mid, stair, small]),
+        (other, [stair, small, other]),
+        ((build_rectangle(4, 8), 4), [stair, small, other]),
+    ]
+    for (region, n), kept in steps:
+        sample_tiling(region, n, seed=0)
+        assert list(cache.tables) == kept
+        assert cache.states == sum(len(s.memo) for s in cache.tables.values()) <= 100
 
 
 def test_tiling_probability_exactly_uniform():
