@@ -141,3 +141,43 @@ def poly_pow(base: tuple[int, ...], exponent: int) -> tuple[int, ...]:
     for _ in range(exponent):
         coeffs = poly_mul(coeffs, base)
     return coeffs
+
+
+
+def ribbons_from(start: tuple[int, int], cells: frozenset[tuple[int, int]]):
+    """Every ribbon of any length with first cell `start` that lies within `cells`."""
+    out = []
+    stack = [((start,), start)]
+    while stack:
+        ribbon, (x, y) = stack.pop()
+        out.append(frozenset(ribbon))
+        for nxt in ((x + 1, y), (x, y + 1)):
+            if nxt in cells:
+                stack.append((ribbon + (nxt,), nxt))
+    return out
+
+
+def tilings_by_size_oracle(cells: frozenset[tuple[int, int]], memo: dict) -> dict[int, int]:
+    """Tilings by ribbons of any lengths, as {number of ribbons: tilings}.
+
+    Recurses on the lowest cell in raster (y, x) order.  A ribbon covering
+    it has no cell before it (that cell would lie west or south, lower in
+    raster order), so the ribbon starts there.
+    """
+    if not cells:
+        return {0: 1}
+    if cells not in memo:
+        target = min(cells, key=lambda c: (c[1], c[0]))
+        sizes: dict[int, int] = {}
+        for tile in ribbons_from(target, cells):
+            for size, ways in tilings_by_size_oracle(cells - tile, memo).items():
+                sizes[size + 1] = sizes.get(size + 1, 0) + ways
+        memo[cells] = sizes
+    return memo[cells]
+
+
+def minimal_tilings_oracle(cells: frozenset[tuple[int, int]]) -> tuple[int, int]:
+    """(fewest ribbons in any tiling, tilings using that few); (len(cells) + 1, 0) if none."""
+    sizes = tilings_by_size_oracle(cells, {})
+    fewest = min(sizes, default=len(cells) + 1)
+    return (fewest, sizes.get(fewest, 0))

@@ -1,12 +1,19 @@
 """Counting, enumeration, and sampling against an independent oracle."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import count_tilings_oracle, fib, region_cells
+from oracles import (
+    count_tilings_oracle,
+    fib,
+    minimal_tilings_oracle,
+    region_cells,
+    tilings_by_size_oracle,
+)
 from ribbonry import (
     Cell,
     NotTileableError,
@@ -135,6 +142,18 @@ def test_is_tileable_matches_count():
     assert is_tileable(build_rectangle(4, 10), 4) is True
 
 
+def test_is_tileable_on_offset_rectangles():
+    # Built through the dataclass constructor, so not shifted to the origin.
+    for x0, y0 in [(1, 0), (0, 1), (3, 5)]:
+        for width, height in [(2, 1), (1, 3), (3, 2), (4, 3)]:
+            cells = {Cell(x0 + x, y0 + y) for x in range(width) for y in range(height)}
+            region = Region(frozenset(cells))
+            for n in (2, 3, 4):
+                want = count_tilings(region, n) > 0
+                assert is_tileable(region, n) == want, (x0, y0, width, height, n)
+    assert is_tileable(Region(frozenset({Cell(1, 0), Cell(2, 0)})), 2) is True
+
+
 def test_fibonacci_strip_counts():
     for cols in range(1, 31):
         assert count_tilings(build_rectangle(2, cols), 2) == fib(cols + 1)
@@ -165,6 +184,19 @@ def test_variable_and_minimal_counts():
     assert count_minimal(build_rectangle(1, 5)) == (1, 1)
     hist = build_rectangle(3, 3).level_histogram
     assert count_minimal(build_rectangle(3, 3))[0] >= max(hist.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=12))
+@example({(0, 0), (1, 0), (2, 0), (0, 1), (2, 1), (0, 2), (1, 2), (2, 2)})  # a ring
+@example({(0, 0), (1, 1), (3, 0), (3, 1)})  # three pieces
+# A holed block and an island:
+@example({(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (3, 1), (0, 2), (1, 2), (2, 2), (3, 2), (4, 4)})
+def test_variable_and_minimal_counts_match_oracle(cells):
+    region = Region.from_cells(cells)
+    sizes = tilings_by_size_oracle(region_cells(region), {})
+    assert count_variable(region) == sum(sizes.values())
+    assert count_minimal(region) == minimal_tilings_oracle(region_cells(region))
 
 
 def test_entropy_values():
@@ -244,7 +276,7 @@ def test_untileable_region_raises_again_from_cache(monkeypatch):
 def test_table_cache_stays_within_budget(monkeypatch):
     monkeypatch.setattr(enumeration, "_TABLE_BUDGET", 100)
     cache = fresh_tables(monkeypatch)
-    # Memo states: 3x3 n=3 11, 3x7 n=3 43, stair(10, 4) 28, 3x6 n=3 35, 4x8 n=4 292.
+    # Table states: 3x3 n=3 11, 3x7 n=3 43, stair(10, 4) 28, 3x6 n=3 35, 4x8 n=4 292.
     small, mid = (build_rectangle(3, 3), 3), (build_rectangle(3, 7), 3)
     stair, other = (build_stair(10, 4), 4), (build_rectangle(3, 6), 3)
     steps = [
@@ -258,7 +290,40 @@ def test_table_cache_stays_within_budget(monkeypatch):
     for (region, n), kept in steps:
         sample_tiling(region, n, seed=0)
         assert list(cache.tables) == kept
-        assert cache.states == sum(len(s.memo) for s in cache.tables.values()) <= 100
+        assert cache.states == sum(len(table) for _, table in cache.tables.values()) <= 100
+
+
+def test_completion_tables_match_counts_of_what_is_left(monkeypatch):
+    fresh_tables(monkeypatch)
+    regions = [
+        (build_rectangle(4, 8), 4, 292),
+        (build_stair(10, 4), 4, 28),
+        (build_aztec(5, 3, 1), 3, 983),
+    ]
+    dead_ends = 0
+    for region, n, size in regions:
+        searcher, table = enumeration._tables.get(region, n)
+        assert len(table) == size and searcher.full not in table
+        assert table[0] == count_tilings(region, n)
+        for state, completions in table.items():
+            left = [cell for i, cell in enumerate(searcher.order) if not state >> i & 1]
+            assert completions == count_tilings(Region.from_cells(left), n), (region, state)
+            dead_ends += completions == 0
+    assert dead_ends > 0
+
+
+def test_count_memory_does_not_grow_with_strip_length():
+    peaks = []
+    for cols in (60, 240):
+        searcher = _Searcher(build_rectangle(4, cols), [4])
+        tracemalloc.start()
+        try:
+            searcher.count()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # Four times the states are visited; the live frontier stays the same.
+    assert peaks[1] < 2 * peaks[0], peaks
 
 
 def test_tiling_probability_exactly_uniform():
