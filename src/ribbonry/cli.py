@@ -25,6 +25,9 @@ from .sheffield import build_graph, to_dot
 from .verify import FAIL, SUITE_NAMES, run_suite
 
 
+_REGION_FLAGS = ("rect", "aztec", "stair", "grid")
+
+
 class UsageError(Exception):
     """Bad flag values or region specs; reported with exit code 2."""
 
@@ -69,7 +72,7 @@ def _read_text(path: str) -> str:
 
 def _resolve_region(args: argparse.Namespace) -> tuple[Region, int]:
     """Build the region named by the flags and settle the ribbon length."""
-    chosen = [name for name in ("rect", "aztec", "stair", "grid") if getattr(args, name)]
+    chosen = [name for name in _REGION_FLAGS if getattr(args, name)]
     if len(chosen) != 1:
         raise UsageError("exactly one of --rect, --aztec, --stair, --grid is required")
     source = chosen[0]
@@ -163,7 +166,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     growth_cases = None
-    if any(getattr(args, name) for name in ("rect", "aztec", "stair", "grid")):
+    if any(getattr(args, name) for name in _REGION_FLAGS):
         if args.suite not in ("growth", "all"):
             raise UsageError("region flags apply only to the growth suite")
         region, n = _resolve_region(args)

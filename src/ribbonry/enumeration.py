@@ -275,8 +275,8 @@ def is_tileable(region: Region, n: int) -> bool:
     if region.area % n:
         return False
     if region.is_rectangle():
-        min_x, min_y, max_x, max_y = region.bounds
-        return (max_y - min_y + 1) % n == 0 or (max_x - min_x + 1) % n == 0
+        _, _, max_x, max_y = region.bounds
+        return (max_y + 1) % n == 0 or (max_x + 1) % n == 0
     return count_tilings(region, n) > 0
 
 

@@ -132,14 +132,18 @@ class Region:
 
     cells: frozenset[Cell]
 
+    def __post_init__(self) -> None:
+        if not self.cells:
+            raise ValueError("region must contain at least one cell")
+        dx = min(c.x for c in self.cells)
+        dy = min(c.y for c in self.cells)
+        if dx or dy:
+            shifted = frozenset(Cell(c.x - dx, c.y - dy) for c in self.cells)
+            object.__setattr__(self, "cells", shifted)
+
     @classmethod
     def from_cells(cls, cells: Iterable[tuple[int, int]]) -> "Region":
-        raw = {Cell(int(x), int(y)) for x, y in cells}
-        if not raw:
-            raise ValueError("region must contain at least one cell")
-        dx = min(c.x for c in raw)
-        dy = min(c.y for c in raw)
-        return cls(frozenset(Cell(c.x - dx, c.y - dy) for c in raw))
+        return cls(frozenset(Cell(int(x), int(y)) for x, y in cells))
 
     @cached_property
     def area(self) -> int:
@@ -193,8 +197,8 @@ class Region:
         return seen
 
     def is_rectangle(self) -> bool:
-        min_x, min_y, max_x, max_y = self.bounds
-        return self.area == (max_x - min_x + 1) * (max_y - min_y + 1)
+        _, _, max_x, max_y = self.bounds
+        return self.area == (max_x + 1) * (max_y + 1)
 
     def to_text(self) -> str:
         """Grid picture, one row per line, top row first, '#' cell / '.' gap."""

@@ -309,11 +309,6 @@ def _pmul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _psub(a: list[int], b: list[int]) -> list[int]:
-    size = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(size)]
-
-
 def falling_factorial_poly(k: int) -> list[int]:
     """Coefficients of x(x-1)...(x-k+1), ascending."""
     poly = [1]
@@ -322,58 +317,54 @@ def falling_factorial_poly(k: int) -> list[int]:
     return poly
 
 
-def _components(adj: dict[int, set[int]]) -> list[set[int]]:
-    seen: set[int] = set()
-    comps = []
-    for v in adj:
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            for nb in adj[stack.pop()]:
-                if nb not in comp:
-                    comp.add(nb)
-                    stack.append(nb)
-        seen |= comp
-        comps.append(comp)
-    return comps
-
-
 def _chromatic(adj: dict[int, set[int]]) -> list[int]:
-    v = len(adj)
-    m = sum(len(nbs) for nbs in adj.values()) // 2
-    if m == 0:
-        return [0] * v + [1]
-    if m == v * (v - 1) // 2:
-        return falling_factorial_poly(v)
-    comps = _components(adj)
-    if len(comps) > 1:
-        poly = [1]
-        for comp in comps:
-            poly = _pmul(poly, _chromatic({x: adj[x] & comp for x in comp}))
-        return poly
-    # deletion-contraction on an edge at a highest-degree vertex
-    a = max(adj, key=lambda x: len(adj[x]))
-    b = max(adj[a], key=lambda x: len(adj[x]))
-    deleted = {x: set(nbs) for x, nbs in adj.items()}
-    deleted[a].discard(b)
-    deleted[b].discard(a)
-    contracted: dict[int, set[int]] = {}
-    for x, nbs in adj.items():
-        if x == b:
+    """Coefficients of P(G), ascending, for G given by adjacency sets (consumed).
+
+    A simplicial vertex v, one whose neighbours are pairwise adjacent, gives
+    P(G) = (x - deg v) * P(G - v), so each graph on the work list is peeled
+    one simplicial vertex at a time into its factor; an empty graph adds its
+    factor to the total.  Chordal graphs, tile graphs among them, peel to
+    nothing.  A graph left with no simplicial vertex is split on an edge ab
+    at a highest-degree vertex: P(G) = P(G - ab) - P(G / ab).
+    """
+    total = [0] * (len(adj) + 1)
+    work = [([1], adj)]
+    while work:
+        factor, adj = work.pop()
+        # Removing v can make only v's neighbours simplicial.
+        candidates = list(adj)
+        while candidates:
+            v = candidates.pop()
+            nbs = adj.get(v)
+            if nbs is None or any(len(adj[u] & nbs) < len(nbs) - 1 for u in nbs):
+                continue
+            factor = _pmul(factor, [-len(nbs), 1])
+            del adj[v]
+            for u in nbs:
+                adj[u].discard(v)
+            candidates.extend(nbs)
+        if not adj:
+            for i, c in enumerate(factor):
+                total[i] += c
             continue
-        merged = {a if nb == b else nb for nb in nbs}
-        contracted[x] = merged - {x}
-    contracted[a] = (adj[a] | adj[b]) - {a, b}
-    return _psub(_chromatic(deleted), _chromatic(contracted))
+        a = max(adj, key=lambda x: len(adj[x]))
+        b = max(adj[a], key=lambda x: len(adj[x]))
+        contracted = {x: {a if y == b else y for y in nbs} for x, nbs in adj.items() if x != b}
+        contracted[a] = (adj[a] | adj[b]) - {a, b}
+        adj[a].discard(b)
+        adj[b].discard(a)
+        work.append((factor, adj))
+        work.append(([-c for c in factor], contracted))
+    return total
 
 
 def chromatic_polynomial(graph: SGraph) -> ChromaticPoly:
     """Chromatic polynomial of the graph's underlying undirected graph.
 
-    Computed by deletion-contraction; edge classes and tau directions are
-    ignored.  SEdge refuses a loop, so every graph has proper colorings.
+    Computed by peeling simplicial vertices, which finishes every chordal
+    graph (tile graphs are chordal); deletion-contraction splits only a
+    graph with no simplicial vertex left.  Edge classes and tau directions
+    are ignored.  SEdge refuses a loop, so every graph has proper colorings.
     """
     index = {v: i for i, v in enumerate(graph.vertices)}
     adj: dict[int, set[int]] = {i: set() for i in index.values()}

@@ -2,7 +2,9 @@
 
 import io
 import json
+import os
 import shlex
+import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from importlib import resources
@@ -348,3 +350,23 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
     out, _ = capsys.readouterr()
     assert out.startswith("ribbonry ")
+
+
+def test_no_runtime_dependencies():
+    # -S skips site, so only what the import itself loads is in sys.modules.
+    probe = (
+        "import sys, ribbonry, ribbonry.cli; "
+        "print(sorted({m.partition('.')[0] for m in sys.modules} - sys.stdlib_module_names))"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "['__main__', 'ribbonry']"
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert tomllib.loads(pyproject.read_text())["project"]["dependencies"] == []

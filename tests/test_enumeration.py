@@ -143,7 +143,7 @@ def test_is_tileable_matches_count():
 
 
 def test_is_tileable_on_offset_rectangles():
-    # Built through the dataclass constructor, so not shifted to the origin.
+    # Built through the dataclass constructor, which shifts them to the origin too.
     for x0, y0 in [(1, 0), (0, 1), (3, 5)]:
         for width, height in [(2, 1), (1, 3), (3, 2), (4, 3)]:
             cells = {Cell(x0 + x, y0 + y) for x in range(width) for y in range(height)}

@@ -14,7 +14,10 @@ from ribbonry import (
     build_aztec,
     build_rectangle,
     build_stair,
+    enumerate_tilings,
     parse_region,
+    tiling_to_ascii,
+    tiling_to_svg,
 )
 
 
@@ -97,6 +100,26 @@ def test_parse_region_errors():
 def test_region_requires_a_cell():
     with pytest.raises(ValueError):
         Region.from_cells([])
+    with pytest.raises(ValueError, match="at least one cell"):
+        Region(frozenset())
+
+
+def test_region_constructor_shifts_to_origin():
+    region = Region(frozenset({Cell(1, 0), Cell(2, 0)}))
+    assert region == Region.from_cells([(0, 0), (1, 0)])
+    assert region.bounds == (0, 0, 1, 0)
+    assert region.to_text() == "##"
+
+
+def test_offset_built_tiling_renders_without_margins():
+    region = Region(frozenset(Cell(x + 3, y + 2) for x in range(3) for y in range(2)))
+    tiling = next(enumerate_tilings(region, 2))
+    text = tiling_to_ascii(tiling)
+    assert [len(row) for row in text.split("\n")] == [3, 3]
+    assert "." not in text
+    svg = tiling_to_svg(tiling)
+    assert svg == tiling_to_svg(next(enumerate_tilings(build_rectangle(2, 3), 2)))
+    assert 'viewBox="0 0 84 56"' in svg  # 3 x 2 cells of 28 pixels
 
 
 def test_region_basic_properties():

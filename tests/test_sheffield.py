@@ -14,8 +14,10 @@ from oracles import (
     poly_pow,
 )
 from ribbonry import (
+    Cell,
     ChromaticPoly,
     GraphInconsistencyError,
+    Region,
     SEdge,
     SGraph,
     VertexId,
@@ -303,13 +305,40 @@ def test_stanley_acyclic_orientation_identity():
         assert abs(chromatic_polynomial(graph)(-1)) == want
         # With every edge free and tau empty, the orientation pass counts
         # plain acyclic orientations, which the chromatic engine gives too.
-        all_free = SGraph(
-            n=graph.n,
-            vertices=graph.vertices,
-            edges=tuple(SEdge(e.u, e.v, FREE) for e in graph.edges),
-            tau=frozenset(),
-        )
-        assert count_admissible_orientations(all_free) == acyclic_count_via_chromatic(graph)
+        assert count_admissible_orientations(_all_free(graph)) == acyclic_count_via_chromatic(graph)
+
+
+def _all_free(graph: SGraph) -> SGraph:
+    """The same graph with every edge FREE and tau empty."""
+    return SGraph(
+        n=graph.n,
+        vertices=graph.vertices,
+        edges=tuple(SEdge(e.u, e.v, FREE) for e in graph.edges),
+        tau=frozenset(),
+    )
+
+
+def test_chromatic_on_large_tile_graphs():
+    # In (level, rank) order each vertex's earlier neighbours are every
+    # earlier vertex at most n levels down, and they form a clique, so
+    # P = prod (x - d_v) with d_v their number.  Peeling keeps a work list,
+    # so the default recursion limit does not bound the graph size.
+    assert sys.getrecursionlimit() <= 1000
+    for region, n in [
+        (build_rectangle(4, 12), 4),
+        (build_rectangle(6, 6), 3),
+        (build_aztec(3, 3, 1), 3),
+        (build_rectangle(2, 400), 2),
+    ]:
+        graph = build_graph(region, n)
+        levels = [v.level for v in sorted(graph.vertices)]
+        want = (1,)
+        for i, level in enumerate(levels):
+            earlier = sum(1 for other in levels[:i] if level - other <= n)
+            want = poly_mul(want, (-earlier, 1))
+        poly = chromatic_polynomial(graph)
+        assert poly.coeffs == want, (region.area, n)
+        assert abs(poly(-1)) == count_admissible_orientations(_all_free(graph))
 
 
 def _padded(coeffs) -> tuple[int, ...]:
@@ -474,6 +503,12 @@ def test_growth_larger_rectangles():
     report = verify_growth_bounds(build_rectangle(5, 40), 5)
     assert report.ok
     assert report.counts[-1] == count_tilings(build_rectangle(5, 40), 5)
+
+
+def test_growth_on_constructor_built_rectangle():
+    # Region shifts its cells to the origin, so one row up is the same 3x6.
+    lifted = Region(frozenset(Cell(x, y + 1) for x in range(6) for y in range(3)))
+    assert verify_growth_bounds(lifted, 3) == verify_growth_bounds(build_rectangle(3, 6), 3)
 
 
 def test_growth_rejects_bad_regions():
