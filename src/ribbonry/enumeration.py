@@ -26,9 +26,9 @@ increasing i with no stack and no memo.  The core runs in two modes:
   number of completions of each state from the top layer down, for the
   sampler.
 
-The enumeration walk needs no counts and keeps its own explicit stack.  No
-search recurses, so region size, not search depth, bounds what can be
-counted or listed.
+The enumeration walk needs no counts.  It keeps its own explicit stack and
+the states it has found to have no completion.  No search recurses, so
+region size, not search depth, bounds what can be counted or listed.
 
 A completion table depends only on the region and n, not on the seed, so
 `sample_tiling` keeps the tables of recently sampled (region, n) pairs,
@@ -187,25 +187,35 @@ class _Searcher:
         return table
 
     def walk(self) -> Iterator[Tiling]:
-        """Every tiling, depth first with placements in table order."""
+        """Every tiling, depth first with placements in table order.
+
+        A state whose subtree yielded no tiling is dead and never entered
+        again; skipping it leaves the order of the tilings unchanged.
+        """
         full = self.full
         tiles: list[Tile] = []
-        stack = [(0, iter(self.options(0)))]
+        dead: set[int] = set()
+        found = 0  # tilings yielded so far
+        # Each frame: state, its untried placements, `found` when it was entered.
+        stack = [(0, iter(self.options(0)), 0)]
         while stack:
-            state, remaining = stack[-1]
+            state, remaining, before = stack[-1]
             for tile, mask in remaining:
-                if mask & state:
-                    continue
                 child = state | mask
+                if mask & state or child in dead:
+                    continue
                 tiles.append(tile)
                 if child == full:
+                    found += 1
                     yield Tiling(self.region, tuple(tiles))
                     tiles.pop()
                     continue
-                stack.append((child, iter(self.options(child))))
+                stack.append((child, iter(self.options(child)), found))
                 break
             else:
                 stack.pop()
+                if found == before:
+                    dead.add(state)
                 if tiles:
                     tiles.pop()
 

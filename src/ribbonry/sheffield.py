@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
@@ -68,10 +67,6 @@ class SGraph:
     @property
     def free_edges(self) -> tuple[SEdge, ...]:
         return tuple(e for e in self.edges if e.cls == FREE)
-
-    @cached_property
-    def _class_by_pair(self) -> dict[frozenset, str]:
-        return {frozenset((e.u, e.v)): e.cls for e in self.edges}
 
     def to_json_dict(self) -> dict:
         return {
@@ -300,23 +295,6 @@ class ChromaticPoly:
         return value
 
 
-def _pmul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def falling_factorial_poly(k: int) -> list[int]:
-    """Coefficients of x(x-1)...(x-k+1), ascending."""
-    poly = [1]
-    for i in range(k):
-        poly = _pmul(poly, [-i, 1])
-    return poly
-
-
 def _chromatic(adj: dict[int, set[int]]) -> list[int]:
     """Coefficients of P(G), ascending, for G given by adjacency sets (consumed).
 
@@ -338,7 +316,8 @@ def _chromatic(adj: dict[int, set[int]]) -> list[int]:
             nbs = adj.get(v)
             if nbs is None or any(len(adj[u] & nbs) < len(nbs) - 1 for u in nbs):
                 continue
-            factor = _pmul(factor, [-len(nbs), 1])
+            d = len(nbs)
+            factor = [lo - d * hi for lo, hi in zip([0] + factor, factor + [0])]
             del adj[v]
             for u in nbs:
                 adj[u].discard(v)
@@ -387,8 +366,16 @@ def acyclic_count_via_chromatic(graph: SGraph) -> int:
 # Isomorphism
 
 
-def _refine_colors(graph: SGraph) -> dict[VertexId, int]:
-    incident: dict[VertexId, list[tuple[str, str, VertexId]]] = {v: [] for v in graph.vertices}
+_Incidence = dict[VertexId, list[tuple[str, str, VertexId]]]
+
+
+def _incidence(graph: SGraph) -> _Incidence:
+    """Each vertex's (class, direction, neighbour) entries, in graph.vertices order.
+
+    The direction is "out" along a tau arc leaving the vertex, "in" along
+    one entering it, and "-" on a free edge.
+    """
+    incident: _Incidence = {v: [] for v in graph.vertices}
     for e in graph.edges:
         if e.cls == FREE:
             du = dv = "-"
@@ -396,15 +383,32 @@ def _refine_colors(graph: SGraph) -> dict[VertexId, int]:
             du, dv = ("out", "in") if (e.u, e.v) in graph.tau else ("in", "out")
         incident[e.u].append((e.cls, du, e.v))
         incident[e.v].append((e.cls, dv, e.u))
-    color = {v: 0 for v in graph.vertices}
+    return incident
+
+
+def _refine_colors(incident: _Incidence) -> dict[VertexId, int]:
+    """The coarsest equitable colouring of the classed, directed incidences.
+
+    It starts from each vertex's BFS distance to a least-degree vertex (-1
+    if none is reachable), which the stable colouring determines anyway, so
+    long strips settle in a few rounds instead of hundreds.
+    """
+    least = min(map(len, incident.values()), default=0)
+    color = {v: 0 if len(entries) == least else -1 for v, entries in incident.items()}
+    queue = [v for v, c in color.items() if c == 0]
+    for v in queue:  # also visits the vertices appended below
+        for _, _, nb in incident[v]:
+            if color[nb] == -1:
+                color[nb] = color[v] + 1
+                queue.append(nb)
     while True:
         signatures = {
-            v: (color[v], tuple(sorted((cls, d, color[nb]) for cls, d, nb in incident[v])))
-            for v in graph.vertices
+            v: (color[v], tuple(sorted((cls, d, color[nb]) for cls, d, nb in entries)))
+            for v, entries in incident.items()
         }
         palette = {sig: i for i, sig in enumerate(sorted(set(signatures.values())))}
-        new_color = {v: palette[signatures[v]] for v in graph.vertices}
-        if len(set(new_color.values())) == len(set(color.values())):
+        new_color = {v: palette[sig] for v, sig in signatures.items()}
+        if len(palette) == len(set(color.values())):
             return new_color
         color = new_color
 
@@ -423,12 +427,11 @@ def graphs_isomorphic(g1: SGraph, g2: SGraph) -> tuple[bool, dict[VertexId, Vert
         return (False, None)
     # The refinement is deterministic, so color ids are comparable across
     # isomorphic graphs and a census mismatch is a definite no.
-    colors1 = _refine_colors(g1)
-    colors2 = _refine_colors(g2)
+    incident1, incident2 = _incidence(g1), _incidence(g2)
+    colors1 = _refine_colors(incident1)
+    colors2 = _refine_colors(incident2)
     if Counter(colors1.values()) != Counter(colors2.values()):
         return (False, None)
-    pairs1, tau1 = g1._class_by_pair, g1.tau
-    pairs2, tau2 = g2._class_by_pair, g2.tau
     candidates = {
         v: [w for w in g2.vertices if colors2[w] == colors1[v]] for v in g1.vertices
     }
@@ -437,15 +440,9 @@ def graphs_isomorphic(g1: SGraph, g2: SGraph) -> tuple[bool, dict[VertexId, Vert
     used: set[VertexId] = set()
 
     def compatible(v: VertexId, w: VertexId) -> bool:
-        for prev, image in mapping.items():
-            cls1 = pairs1.get(frozenset((v, prev)))
-            cls2 = pairs2.get(frozenset((w, image)))
-            if cls1 != cls2:
-                return False
-            if cls1 is not None and cls1 != FREE:
-                if ((v, prev) in tau1) != ((w, image) in tau2):
-                    return False
-        return True
+        """v's edges to mapped vertices carry over to w's edges to their images."""
+        mapped = Counter((cls, d, mapping[nb]) for cls, d, nb in incident1[v] if nb in mapping)
+        return mapped == Counter(entry for entry in incident2[w] if entry[2] in used)
 
     # Backtracking over `order` with an explicit stack: frame i iterates the
     # untried images of order[i], and order[:len(mapping)] is mapped.

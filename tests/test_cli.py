@@ -219,9 +219,14 @@ def test_graph_json_output(capsys):
     assert payload["tau"] == []
 
 
-def test_graph_untileable_fails(capsys):
+def test_graph_untileable_fails(capsys, tmp_path):
     code, _, err = run(capsys, "graph", "--rect", "2x3", "--n", "4")
     assert code == 1 and "error" in err
+    # Area divisible by 3 with no tiling: the first-tiling search must give up.
+    path = tmp_path / "grid.txt"
+    path.write_text("\n".join([".....#...", "#########", "#######.#"] + ["######..."] * 4))
+    code, out, err = run(capsys, "graph", "--grid", str(path), "--n", "3")
+    assert (code, out, err) == (1, "", "error: region of area 42 has no 3-ribbon tiling\n")
 
 
 def test_verify_growth_with_region(capsys):

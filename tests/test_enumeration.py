@@ -126,6 +126,25 @@ def test_enumerated_roots_follow_minimal_cell_rule():
                 covered.update(tile.cells())
 
 
+def test_walk_expands_each_dead_state_once(monkeypatch):
+    # Area 42, no 3-ribbon tiling: without the walk's record of dead states
+    # its first-tiling search made 56,427 `options` calls over these states.
+    grid = "\n".join([".....#...", "#########", "#######.#"] + ["######..."] * 4)
+    searcher = _Searcher(parse_region(grid), [3])
+    reachable = len(searcher.completions())
+    options = _Searcher.options
+    calls = 0
+
+    def counted(self, covered):
+        nonlocal calls
+        calls += 1
+        return options(self, covered)
+
+    monkeypatch.setattr(_Searcher, "options", counted)
+    assert next(searcher.walk(), None) is None
+    assert calls <= reachable == 616
+
+
 def test_placements_at_canonical_order():
     region = build_rectangle(3, 3)
     tiles = [tile for tile, _ in _Searcher(region, [3]).placements[0]]

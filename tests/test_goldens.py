@@ -1,18 +1,42 @@
-"""Outputs pinned as sha256 digests: seed -> sampled tiling, and enumeration order.
+"""Outputs pinned as sha256 digests: seed -> sampled tiling, enumeration order,
+isomorphism witnesses and chromatic coefficients.
 
-The digests were recorded from the recursive frontier search; any engine
-change must reproduce them byte for byte.
+The tiling digests were recorded from the recursive frontier search, and
+the graph digests before isomorphism and the chromatic peel moved onto
+incidence lists; any engine change must reproduce them byte for byte.
 """
 
 import hashlib
 
 import pytest
 
-from ribbonry import build_aztec, build_rectangle, build_stair, enumerate_tilings, sample_tiling
+from ribbonry import (
+    build_aztec,
+    build_graph,
+    build_rectangle,
+    build_stair,
+    chromatic_polynomial,
+    enumerate_tilings,
+    graphs_isomorphic,
+    sample_tiling,
+)
+from ribbonry.verify import bijection_battery
 
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _lines_digest(lines) -> str:
+    return sha256("".join(line + "\n" for line in lines))
+
+
+def _witness_line(result) -> str:
+    """The verdict and the witness in the order the search mapped its vertices."""
+    ok, mapping = result
+    if mapping is None:
+        return f"{ok} None"
+    return f"{ok} {[(tuple(v), tuple(w)) for v, w in mapping.items()]!r}"
 
 
 SAMPLE_GOLDENS = [
@@ -42,3 +66,21 @@ def test_enumeration_stream_golden(region, n, lines, digest):
     stream = [tiling.to_json() + "\n" for tiling in enumerate_tilings(region, n)]
     assert len(stream) == lines
     assert sha256("".join(stream)) == digest
+
+
+def test_isomorphism_witness_golden():
+    graphs = [build_graph(region, n) for _, region, n in bijection_battery()]
+    lines = [_witness_line(graphs_isomorphic(g1, g2)) for g1 in graphs for g2 in graphs]
+    assert sum(line.startswith("True") for line in lines) == 66
+    assert _lines_digest(lines) == "0c2423aa545f7678df182760c912702d1a6ae7ed1e3044409bb11f27877dd9a2"
+    strip = build_graph(build_rectangle(2, 1200), 2)
+    assert _lines_digest([_witness_line(graphs_isomorphic(strip, strip))]) == (
+        "4ec23e4d69afb0ad4d6aa161535c1c7bfe3e4a1a20ad70653e55f38c773995e0"
+    )
+
+
+def test_chromatic_coefficients_golden():
+    graphs = [build_graph(region, n) for _, region, n in bijection_battery()]
+    graphs.append(build_graph(build_rectangle(2, 1200), 2))
+    lines = [repr(chromatic_polynomial(graph).coeffs) for graph in graphs]
+    assert _lines_digest(lines) == "875685e9d3394ae435e0237b4b44363089cfa1952325643412421a1a7f95b4e3"

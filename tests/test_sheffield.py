@@ -15,7 +15,6 @@ from oracles import (
 )
 from ribbonry import (
     Cell,
-    ChromaticPoly,
     GraphInconsistencyError,
     Region,
     SEdge,
@@ -39,7 +38,7 @@ from ribbonry import (
     verify_bijection,
     verify_growth_bounds,
 )
-from ribbonry.sheffield import FORCED, FREE, SAME_LEVEL, falling_factorial_poly
+from ribbonry.sheffield import FORCED, FREE, SAME_LEVEL
 from ribbonry.verify import bijection_battery
 
 GRAPH_BATTERY = [
@@ -372,12 +371,6 @@ def test_stair_chromatic_clique_sum_identity():
             assert _padded(lhs) == _padded(rhs)
 
 
-def test_falling_factorial_poly():
-    assert falling_factorial_poly(0) == [1]
-    assert falling_factorial_poly(3) == [0, 2, -3, 1]
-    assert ChromaticPoly(tuple(falling_factorial_poly(4)))(10) == 10 * 9 * 8 * 7
-
-
 def _cycle_graph(lengths: list[int]) -> SGraph:
     vertices = []
     pairs = []
@@ -412,6 +405,17 @@ def test_isomorphic_positive_with_witness():
     ok, mapping = graphs_isomorphic(square, _cycle_graph([3]))
     assert ok
     _assert_witness(square, _cycle_graph([3]), mapping)
+    empty = SGraph(n=2, vertices=(), edges=(), tau=frozenset())
+    assert graphs_isomorphic(empty, empty) == (True, {})
+    # Every vertex gets one colour, so only the tau directions rule out
+    # mapping the cycle onto its reverse by the identity.
+    a, b, c = (VertexId(level, 1) for level in range(3))
+    edges = (SEdge(a, b, FORCED), SEdge(b, c, FORCED), SEdge(a, c, FORCED))
+    cycle = SGraph(n=1, vertices=(a, b, c), edges=edges, tau=frozenset({(a, b), (b, c), (c, a)}))
+    reverse = SGraph(n=1, vertices=(a, b, c), edges=edges, tau=frozenset({(b, a), (c, b), (a, c)}))
+    ok, mapping = graphs_isomorphic(cycle, reverse)
+    assert ok
+    _assert_witness(cycle, reverse, mapping)
 
 
 def test_isomorphic_negative_cycle_vs_two_triangles():
