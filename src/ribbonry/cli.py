@@ -12,15 +12,9 @@ import json
 import sys
 
 from . import __version__
-from .enumeration import (
-    NotTileableError,
-    count_tilings,
-    enumerate_tilings,
-    log2_big,
-    sample_tiling,
-)
+from .enumeration import NotTileableError, _searcher_for, count_tilings, log2_big, sample_tiling
 from .region import Region, RegionParseError, Tiling, build_aztec, build_rectangle, build_stair, parse_region
-from .render import tiling_to_ascii, tiling_to_svg
+from .render import _letter_grids, tiling_to_ascii, tiling_to_svg
 from .sheffield import build_graph, to_dot
 from .verify import FAIL, SUITE_NAMES, run_suite
 
@@ -124,13 +118,25 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    """List every tiling, one write per tiling.
+
+    Each line is joined from output built once per placement, along the
+    walk's stack, and matches `Tiling.to_json` (or `tiling_to_ascii` and a
+    blank line) of the tiling `enumerate_tilings` yields in its place.
+    """
     region, n = _resolve_region(args)
-    for tiling in enumerate_tilings(region, n):
-        if args.format == "text":
-            print(tiling_to_ascii(tiling))
-            print()
-        else:
-            print(tiling.to_json())
+    searcher = _searcher_for(region, n)
+    if searcher is None:
+        return 0
+    tiles = [tile for options in searcher.placements for tile, _ in options]
+    write = sys.stdout.write
+    if args.format == "text":
+        for grid in _letter_grids(region, tiles, (picks for _, picks in searcher.walk())):
+            write(grid + "\n\n")
+    else:
+        fragments = [json.dumps(tile.to_json_dict(), separators=(",", ":")) for tile in tiles]
+        for _, picks in searcher.walk():
+            write('{"tiles":[' + ",".join(map(fragments.__getitem__, picks)) + "]}\n")
     return 0
 
 

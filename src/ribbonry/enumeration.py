@@ -26,9 +26,19 @@ increasing i with no stack and no memo.  The core runs in two modes:
   number of completions of each state from the top layer down, for the
   sampler.
 
-The enumeration walk needs no counts.  It keeps its own explicit stack and
-the states it has found to have no completion.  No search recurses, so
-region size, not search depth, bounds what can be counted or listed.
+The enumeration walk (`_Searcher.walk`) needs no counts.  It keeps its own
+explicit stack and the states it has found to have no completion.  At each
+full tiling it yields its stack as two lists: the tiles in root order and,
+next to each, its placement's position in the placement table.
+`enumerate_tilings` turns the tiles into a `Tiling`; the CLI's listing looks
+up output built once per placement by position instead.  No search
+recurses, so region size, not search depth, bounds what can be counted or
+listed.
+
+Before any search, `_root_levels` reads the number of tiles rooted at each
+level off the region's level histogram.  When that profile is impossible,
+counting returns 0, sampling raises and listing yields nothing, without a
+search.
 
 A completion table depends only on the region and n, not on the seed, so
 `sample_tiling` keeps the tables of recently sampled (region, n) pairs,
@@ -47,6 +57,7 @@ import random
 import threading
 from collections import OrderedDict, defaultdict
 from fractions import Fraction
+from itertools import count
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .region import Region, RibbonShape, Tile, Tiling
@@ -186,31 +197,45 @@ class _Searcher:
                 table[state] = total
         return table
 
-    def walk(self) -> Iterator[Tiling]:
-        """Every tiling, depth first with placements in table order.
+    def walk(self) -> Iterator[tuple[list[Tile], list[int]]]:
+        """Every tiling, depth first with placements in table order, as its stack.
+
+        Each tiling comes as (tiles, picks): its tiles in root order and, next
+        to each, the position of its placement in the table read root by root
+        (`[tile for options in self.placements for tile, _ in options]`), so
+        a consumer can keep its own data per placement.  Both lists are the
+        walk's stack, valid until the walk resumes.
 
         A state whose subtree yielded no tiling is dead and never entered
         again; skipping it leaves the order of the tilings unchanged.
         """
         full = self.full
+        position = count()
+        numbered = [[(tile, mask, next(position)) for tile, mask in opts] for opts in self.placements]
         tiles: list[Tile] = []
+        picks: list[int] = []
         dead: set[int] = set()
         found = 0  # tilings yielded so far
         # Each frame: state, its untried placements, `found` when it was entered.
-        stack = [(0, iter(self.options(0)), 0)]
+        stack = [(0, iter(numbered[0]), 0)]
         while stack:
             state, remaining, before = stack[-1]
-            for tile, mask in remaining:
+            for tile, mask, pick in remaining:
+                if mask & state:
+                    continue
                 child = state | mask
-                if mask & state or child in dead:
+                if child in dead:
                     continue
                 tiles.append(tile)
+                picks.append(pick)
                 if child == full:
                     found += 1
-                    yield Tiling(self.region, tuple(tiles))
+                    yield tiles, picks
                     tiles.pop()
+                    picks.pop()
                     continue
-                stack.append((child, iter(self.options(child)), found))
+                free = full ^ child  # the next tile is rooted at the minimal free cell
+                stack.append((child, iter(numbered[(free & -free).bit_length() - 1]), found))
                 break
             else:
                 stack.pop()
@@ -218,6 +243,7 @@ class _Searcher:
                     dead.add(state)
                 if tiles:
                     tiles.pop()
+                    picks.pop()
 
 
 _Table = tuple[_Searcher, dict[int, int]]
@@ -240,7 +266,8 @@ class _TableCache:
                 self.tables.move_to_end(key)
                 return entry
         searcher = _Searcher(region, [n])
-        table = searcher.completions()
+        # A region that the level profile rules out gets no sweep: no state has a completion.
+        table = {0: 0} if _root_levels(region, n) is None else searcher.completions()
         entry = (searcher, table)
         size = len(table)
         with self._lock:
@@ -256,22 +283,53 @@ class _TableCache:
 _tables = _TableCache()
 
 
-def count_tilings(region: Region, n: int) -> int:
-    """Number of tilings of the region by n-ribbons (0 if there are none)."""
+def _root_levels(region: Region, n: int) -> dict[int, int] | None:
+    """Tiles rooted at each level in any n-ribbon tiling, or None if there is none.
+
+    An n-ribbon covers one cell on each of n consecutive levels, so the h_l
+    cells of level l belong to the tiles rooted at levels l-n+1 .. l, and the
+    histogram alone fixes those root counts: t_l = h_l - h_(l-1) + t_(l-n).
+    A negative t_l, or a tile rooted in the top n-1 levels (it would leave
+    the region), proves that no tiling exists.  Passing does not prove that
+    one does.  Levels with no roots are left out.
+    """
+    hist = region.level_histogram
+    low, top = min(hist), max(hist)
+    roots: list[int] = []  # roots[i]: tiles rooted at level low + i
+    below = 0  # cells on the level under the current one
+    for i in range(top - low + 1):
+        cells = hist.get(low + i, 0)
+        rooted = cells - below + (roots[i - n] if i >= n else 0)
+        if rooted < 0 or (rooted and low + i > top - n + 1):
+            return None
+        roots.append(rooted)
+        below = cells
+    return {low + i: rooted for i, rooted in enumerate(roots) if rooted}
+
+
+def _searcher_for(region: Region, n: int) -> _Searcher | None:
+    """The searcher over the region's n-ribbon tilings, or None when the area
+    or the level profile already rules every tiling out."""
     if n < 1:
         raise ValueError(f"ribbon length must be positive, got {n}")
-    if region.area % n:
-        return 0
-    return _Searcher(region, [n]).count()
+    if region.area % n or _root_levels(region, n) is None:
+        return None
+    return _Searcher(region, [n])
+
+
+def count_tilings(region: Region, n: int) -> int:
+    """Number of tilings of the region by n-ribbons (0 if there are none)."""
+    searcher = _searcher_for(region, n)
+    return 0 if searcher is None else searcher.count()
 
 
 def enumerate_tilings(region: Region, n: int) -> Iterator[Tiling]:
     """Stream every tiling exactly once, in canonical (root, shape-word) order."""
-    if n < 1:
-        raise ValueError(f"ribbon length must be positive, got {n}")
-    if region.area % n:
+    searcher = _searcher_for(region, n)
+    if searcher is None:
         return
-    yield from _Searcher(region, [n]).walk()
+    for tiles, _ in searcher.walk():
+        yield Tiling(region, tuple(tiles))
 
 
 def is_tileable(region: Region, n: int) -> bool:

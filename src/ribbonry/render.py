@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import colorsys
 import string
+from typing import Iterable, Iterator
 
-from .region import Cell, Tiling
+from .region import Cell, Region, Tile, Tiling
 
 _LETTERS = string.ascii_lowercase + string.ascii_uppercase + string.digits
 _CELL_SIZE = 28  # SVG pixels per lattice unit
@@ -27,6 +28,26 @@ def tiling_to_ascii(tiling: Tiling) -> str:
             )
         )
     return "\n".join(rows)
+
+
+def _letter_grids(region: Region, tiles: list[Tile], tilings: Iterable[list[int]]) -> Iterator[str]:
+    """`tiling_to_ascii` of each tiling in `tilings`, given as positions in `tiles`.
+
+    One grid is rewritten for every tiling: the tile at depth d writes
+    letter d (wrapping after the last) over its cells.  Every region cell
+    lies in some tile, so each is rewritten and none keeps a letter from an
+    earlier tiling; cells outside the region stay '.'.
+    """
+    _, _, max_x, max_y = region.bounds
+    stride = max_x + 2  # a row and its newline
+    grid = list("\n".join(["." * (max_x + 1)] * (max_y + 1)))
+    spots = [tuple((max_y - y) * stride + x for x, y in tile.cells()) for tile in tiles]
+    for picks in tilings:
+        for depth, pick in enumerate(picks):
+            letter = _LETTERS[depth % len(_LETTERS)]
+            for spot in spots[pick]:
+                grid[spot] = letter
+        yield "".join(grid)
 
 
 def _tile_color(index: int) -> str:

@@ -8,13 +8,15 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from importlib import resources
+from itertools import islice
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+from closed_pipe import ClosedPipe
 from oracles import fib
-from ribbonry import Tiling, build_rectangle, count_tilings, enumerate_tilings, tiling_to_ascii
+from ribbonry import Tiling, build_rectangle, count_tilings, enumerate_tilings, parse_region, tiling_to_ascii
 from ribbonry.cli import build_parser, main
 
 
@@ -102,6 +104,76 @@ def test_enumerate_text_format(capsys):
     blocks = [b for b in out.split("\n\n") if b.strip()]
     assert blocks[0].splitlines() == ["bb", "aa"]
     assert blocks[1].splitlines() == ["ab", "ab"]
+
+
+# A ring around a one-cell hole, a gap column, and a 3x2 block.
+GAPPED_GRID = "###.##\n#.#.##\n###.##"
+# Area 42 with no 3-ribbon tiling, although its level profile allows one.
+DEAD_GRID = "\n".join([".....#...", "#########", "#######.#"] + ["######..."] * 4)
+
+
+def reference_listing(tilings, fmt: str) -> str:
+    """What `ribbonry enumerate` prints for these tilings, from the reference serialisers."""
+    if fmt == "text":
+        return "".join(tiling_to_ascii(t) + "\n\n" for t in tilings)
+    return "".join(t.to_json() + "\n" for t in tilings)
+
+
+# The bench's `stream` listings, each in the format the bench asks for.
+@pytest.mark.parametrize(
+    "rows,cols,n,fmt",
+    [(4, 12, 4, "json"), (2, 22, 2, "json"), (6, 6, 3, "json"), (6, 6, 3, "text"), (2, 16, 2, "text")],
+)
+def test_enumerate_matches_reference_serialisers(capsys, rows, cols, n, fmt):
+    code, out, _ = run(capsys, "enumerate", "--rect", f"{rows}x{cols}", "--n", str(n), "--format", fmt)
+    assert code == 0
+    assert out == reference_listing(enumerate_tilings(build_rectangle(rows, cols), n), fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_enumerate_grid_with_gaps_and_hole(capsys, monkeypatch, fmt):
+    monkeypatch.setattr("sys.stdin", io.StringIO(GAPPED_GRID))
+    code, out, _ = run(capsys, "enumerate", "--grid", "-", "--n", "2", "--format", fmt)
+    assert code == 0
+    want = reference_listing(enumerate_tilings(parse_region(GAPPED_GRID), 2), fmt)
+    assert out == want and want.count("\n") == {"json": 6, "text": 6 * 4}[fmt]
+
+
+def test_enumerate_text_letters_wrap(monkeypatch):
+    # The first tilings of a 2x70 strip have up to 70 tiles; letters wrap after 62.
+    tilings = 200
+    pipe = ClosedPipe(tilings * 3)
+    monkeypatch.setattr("sys.stdout", pipe)
+    assert main(["enumerate", "--rect", "2x70", "--n", "2", "--format", "text"]) == 1
+    first = list(islice(enumerate_tilings(build_rectangle(2, 70), 2), tilings))
+    assert len(first[0].tiles) == 70
+    assert pipe.getvalue() == reference_listing(first, "text")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize(
+    "flags,grid",
+    [
+        (("--rect", "3x3", "--n", "2"), ""),
+        (("--grid", "-", "--n", "2"), "#.\n.#"),
+        (("--grid", "-", "--n", "3"), DEAD_GRID),
+    ],
+    ids=["area-not-multiple", "level-profile", "dead-ends"],
+)
+def test_enumerate_nothing_to_list(capsys, monkeypatch, flags, grid, fmt):
+    monkeypatch.setattr("sys.stdin", io.StringIO(grid))
+    assert run(capsys, "enumerate", *flags, "--format", fmt) == (0, "", "")
+
+
+@pytest.mark.parametrize("fmt,lines", [("json", 10), ("text", 5 * 4), ("json", 0)])
+def test_enumerate_into_closed_pipe(monkeypatch, fmt, lines):
+    # A 3-row region prints each text tiling as 3 rows and a blank line.
+    pipe = ClosedPipe(lines)
+    monkeypatch.setattr("sys.stdout", pipe)
+    assert main(["enumerate", "--rect", "3x6", "--n", "3", "--format", fmt]) == 1
+    want = reference_listing(enumerate_tilings(build_rectangle(3, 6), 3), fmt)
+    assert pipe.getvalue() == "".join(want.splitlines(keepends=True)[:lines])
+    assert pipe.getvalue().count("\n") == lines
 
 
 def test_sample_deterministic(capsys):

@@ -1,5 +1,6 @@
 """Counting, enumeration, and sampling against an independent oracle."""
 
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from ribbonry import (
     NotTileableError,
     Region,
     build_aztec,
+    build_graph,
     build_rectangle,
     build_stair,
     count_minimal,
@@ -30,6 +32,7 @@ from ribbonry import (
     log2_big,
     parse_region,
     sample_tiling,
+    tile_levels,
     tiling_probability,
 )
 from ribbonry import enumeration
@@ -126,23 +129,26 @@ def test_enumerated_roots_follow_minimal_cell_rule():
                 covered.update(tile.cells())
 
 
-def test_walk_expands_each_dead_state_once(monkeypatch):
+def test_walk_expands_each_dead_state_once():
     # Area 42, no 3-ribbon tiling: without the walk's record of dead states
-    # its first-tiling search made 56,427 `options` calls over these states.
+    # its first-tiling search entered these states 56,427 times.  The walk
+    # calls `iter` once per state it enters, to start on its placements.
     grid = "\n".join([".....#...", "#########", "#######.#"] + ["######..."] * 4)
     searcher = _Searcher(parse_region(grid), [3])
     reachable = len(searcher.completions())
-    options = _Searcher.options
-    calls = 0
+    entered = 0
 
-    def counted(self, covered):
-        nonlocal calls
-        calls += 1
-        return options(self, covered)
+    def count_entries(frame, event, arg):
+        nonlocal entered
+        if event == "c_call" and arg is iter and frame.f_code is _Searcher.walk.__code__:
+            entered += 1
 
-    monkeypatch.setattr(_Searcher, "options", counted)
-    assert next(searcher.walk(), None) is None
-    assert calls <= reachable == 616
+    sys.setprofile(count_entries)
+    try:
+        assert next(searcher.walk(), None) is None
+    finally:
+        sys.setprofile(None)
+    assert 0 < entered <= reachable == 616
 
 
 def test_placements_at_canonical_order():
@@ -379,3 +385,62 @@ def test_count_matches_oracle_random_regions(cells, n):
     region = Region.from_cells(cells)
     want = count_tilings_oracle(region_cells(region), (n,))
     assert count_tilings(region, n) == want
+
+
+def _holed_rectangles():
+    """A rectangle of 2 to 6 columns and rows with some of its cells taken out."""
+    return st.tuples(st.integers(2, 6), st.integers(2, 6)).flatmap(
+        lambda size: st.sets(
+            st.tuples(st.integers(0, size[0] - 1), st.integers(0, size[1] - 1)), max_size=5
+        ).map(lambda gone: {(x, y) for x in range(size[0]) for y in range(size[1])} - gone)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=14),
+        _holed_rectangles().filter(bool),
+    ),
+    st.integers(1, 5),
+)
+@example({(0, 1), (1, 0)}, 2)
+@example({(x, y) for x in range(3) for y in range(3)} - {(1, 1)}, 2)
+def test_level_profile_rules_out_only_untileable_regions(cells, n):
+    region = Region.from_cells(cells)
+    profile = enumeration._root_levels(region, n)
+    # The sweep, without the early zero that count_tilings takes.
+    count = _Searcher(region, [n]).count()
+    if profile is None:
+        assert count == 0
+    elif count:
+        assert profile == tile_levels(region, n)
+
+
+def test_level_profile_values():
+    assert enumeration._root_levels(build_rectangle(3, 6), 3) == {level: 1 for level in range(6)}
+    # Cells on levels 0 and 3 only: the domino rooted on level 0 would cover
+    # a cell of level 1, which leaves -1 dominoes for level 1.
+    assert enumeration._root_levels(parse_region("#..#"), 2) is None
+    # Two cells on the top level, where no domino can be rooted.
+    assert enumeration._root_levels(parse_region("#.\n.#"), 2) is None
+
+
+def test_level_profile_answers_without_a_search(monkeypatch):
+    # The bench's plus sign: its level histogram would need -1 tiles rooted
+    # on each of its two highest levels.
+    cross = parse_region("\n".join(["...######..."] * 3 + ["#" * 12] * 6 + ["...######..."] * 3))
+    assert enumeration._root_levels(cross, 4) is None
+    fresh_tables(monkeypatch)
+
+    def no_search(*args):
+        raise AssertionError("searched a region that the level profile rules out")
+
+    monkeypatch.setattr(_Searcher, "layers", no_search)
+    monkeypatch.setattr(_Searcher, "walk", no_search)
+    assert count_tilings(cross, 4) == 0
+    assert not is_tileable(cross, 4)
+    assert list(enumerate_tilings(cross, 4)) == []
+    for untileable in (lambda: sample_tiling(cross, 4, seed=0), lambda: build_graph(cross, 4)):
+        with pytest.raises(NotTileableError, match="region of area 108 has no 4-ribbon tiling"):
+            untileable()

@@ -1,15 +1,18 @@
 """Outputs pinned as sha256 digests: seed -> sampled tiling, enumeration order,
-isomorphism witnesses and chromatic coefficients.
+CLI listings, isomorphism witnesses and chromatic coefficients.
 
-The tiling digests were recorded from the recursive frontier search, and
-the graph digests before isomorphism and the chromatic peel moved onto
-incidence lists; any engine change must reproduce them byte for byte.
+The tiling digests were recorded from the recursive frontier search, the
+graph digests before isomorphism and the chromatic peel moved onto
+incidence lists, and the CLI listing digests while `enumerate` still built
+and serialised a `Tiling` per line; any engine change must reproduce them
+byte for byte.
 """
 
 import hashlib
 
 import pytest
 
+from closed_pipe import ClosedPipe
 from ribbonry import (
     build_aztec,
     build_graph,
@@ -20,6 +23,7 @@ from ribbonry import (
     graphs_isomorphic,
     sample_tiling,
 )
+from ribbonry.cli import main
 from ribbonry.verify import bijection_battery
 
 
@@ -54,6 +58,39 @@ ENUMERATION_GOLDENS = [
     (build_rectangle(3, 6), 3, 61, "7ecfbe8911ada3d9b9dbb790abd808b0278cd920c8d6057a6dce6ca45ab7dca2"),
     (build_rectangle(4, 8), 4, 1379, "d5c38e44ece5426f9ec553feb820c4b0a832b65363e3c0c5e6d257bc12ffd66c"),
 ]
+
+
+# The bench's `stream` listings: stdout of `ribbonry ARGV`, and of
+# `ribbonry ARGV | head -n HEAD` where HEAD is set.
+CLI_LISTING_GOLDENS = [
+    ("enumerate --rect 4x12 --n 4", None, "c5bbb0a71606abd614a430240d36687b65756ea9f79fd578e72b9e1eee18b402"),
+    ("enumerate --rect 2x22 --n 2", None, "da43e00d3b7de0d09eb989fb072fa6538d34c42c8214cd6c048bdc2952543666"),
+    ("enumerate --rect 6x6 --n 3", None, "1ee7e1e59caf3b57acffbb491fefc61532787894bbe1f49fa1d560da8361f5ee"),
+    (
+        "enumerate --rect 6x6 --n 3 --format text",
+        None,
+        "95d6b970e1dc004de7117ba2502c4351166f815bfbad01ac8b103f4ad595ea84",
+    ),
+    (
+        "enumerate --rect 2x16 --n 2 --format text",
+        None,
+        "a04d60d3966dca335ed6c7cdfc08ebb6c18b085cb21c4a536dd0853f3522de8a",
+    ),
+    ("enumerate --rect 4x16 --n 4", 10_000, "cab6f3846b333c90378e8c0b4e634702fdfad9bf0b4e32f31fb7745f7e73bf2e"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,head,digest",
+    CLI_LISTING_GOLDENS,
+    ids=[argv if head is None else f"{argv} | head -n {head}" for argv, head, _ in CLI_LISTING_GOLDENS],
+)
+def test_cli_listing_golden(monkeypatch, argv, head, digest):
+    # Without a head the pipe never closes: no listing here has a billion lines.
+    pipe = ClosedPipe(head if head is not None else 10**9)
+    monkeypatch.setattr("sys.stdout", pipe)
+    assert main(argv.split()) == (0 if head is None else 1)
+    assert sha256(pipe.getvalue()) == digest
 
 
 @pytest.mark.parametrize("region,n,seed,digest", SAMPLE_GOLDENS)
