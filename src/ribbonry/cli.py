@@ -128,14 +128,13 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     searcher = _searcher_for(region, n)
     if searcher is None:
         return 0
-    tiles = [tile for options in searcher.placements for tile, _ in options]
     write = sys.stdout.write
     if args.format == "text":
-        for grid in _letter_grids(region, tiles, (picks for _, picks in searcher.walk())):
+        for grid in _letter_grids(region, searcher.tiles, searcher.walk()):
             write(grid + "\n\n")
     else:
-        fragments = [json.dumps(tile.to_json_dict(), separators=(",", ":")) for tile in tiles]
-        for _, picks in searcher.walk():
+        fragments = [json.dumps(tile.to_json_dict(), separators=(",", ":")) for tile in searcher.tiles]
+        for picks in searcher.walk():
             write('{"tiles":[' + ",".join(map(fragments.__getitem__, picks)) + "]}\n")
     return 0
 

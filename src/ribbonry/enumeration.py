@@ -26,14 +26,15 @@ increasing i with no stack and no memo.  The core runs in two modes:
   number of completions of each state from the top layer down, for the
   sampler.
 
-The enumeration walk (`_Searcher.walk`) needs no counts.  It keeps its own
-explicit stack and the states it has found to have no completion.  At each
-full tiling it yields its stack as two lists: the tiles in root order and,
-next to each, its placement's position in the placement table.
-`enumerate_tilings` turns the tiles into a `Tiling`; the CLI's listing looks
-up output built once per placement by position instead.  No search
-recurses, so region size, not search depth, bounds what can be counted or
-listed.
+Every search reads one placement table, built once by `_Searcher`:
+`tiles` lists every placement that fits, and `placements[i]` pairs the mask
+of each one rooted at cell i with its position in `tiles`.  The enumeration
+walk (`_Searcher.walk`) needs no counts.  It keeps its own explicit stack and
+the states it has found to have no completion, and at each full tiling
+yields its stack: the positions of the placements made, in root order.
+`enumerate_tilings` turns them into a `Tiling`; the CLI's listing looks up
+output built once per placement instead.  No search recurses, so region
+size, not search depth, bounds what can be counted or listed.
 
 Before any search, `_root_levels` reads the number of tiles rooted at each
 level off the region's level histogram.  When that profile is impossible,
@@ -57,7 +58,6 @@ import random
 import threading
 from collections import OrderedDict, defaultdict
 from fractions import Fraction
-from itertools import count
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .region import Region, RibbonShape, Tile, Tiling
@@ -88,23 +88,26 @@ class _Searcher:
         self.order = region.sorted_cells
         self.index = {c: i for i, c in enumerate(self.order)}
         self.full = (1 << region.area) - 1
+        self.tiles: list[Tile] = []  # every placement that fits, root by root
         self.placements = [self._placements_for(i) for i in range(region.area)]
 
-    def _placements_for(self, root_index: int) -> list[tuple[Tile, int]]:
-        """Tiles rooted at cell `root_index` that fit the region, with their masks.
+    def _placements_for(self, root_index: int) -> list[tuple[int, int]]:
+        """Masks of the tiles rooted at cell `root_index` that fit the region.
 
-        Order is canonical: depth first, a shape before its extensions and E
-        before N.
+        Each tile is appended to `tiles`, and its mask comes with its position
+        there.  Order is canonical: depth first, a shape before its
+        extensions and E before N.
         """
         root = self.order[root_index]
         # A ribbon climbs one level per cell, so none rooted here is longer.
         longest = min(self.max_len, self.order[-1].level - root.level + 1)
-        out: list[tuple[Tile, int]] = []
+        out: list[tuple[int, int]] = []
         stack = [(root, "", 1 << root_index)] if longest >= min(self.lengths) else []
         while stack:
             at, moves, mask = stack.pop()
             if len(moves) + 1 in self.lengths:
-                out.append((Tile(root, RibbonShape(moves)), mask))
+                out.append((mask, len(self.tiles)))
+                self.tiles.append(Tile(root, RibbonShape(moves)))
             if len(moves) + 1 == longest:
                 continue
             for mv, nxt in (("N", at.north()), ("E", at.east())):
@@ -113,7 +116,7 @@ class _Searcher:
                     stack.append((nxt, moves + mv, mask | (1 << j)))
         return out
 
-    def options(self, covered: int) -> list[tuple[Tile, int]]:
+    def options(self, covered: int) -> list[tuple[int, int]]:
         """The placements rooted at the minimal free cell of `covered`."""
         free = self.full ^ covered
         return self.placements[(free & -free).bit_length() - 1]
@@ -143,7 +146,7 @@ class _Searcher:
             if layer is None:
                 continue
             yield i, layer
-            masks = [mask >> i for _, mask in options]
+            masks = [mask >> i for mask, _ in options]
             for state, value in layer.items():
                 value = extend(value)
                 for mask in masks:
@@ -190,63 +193,55 @@ class _Searcher:
             options = self.placements[i]
             for state in states:
                 total = 0
-                for _, mask in options:
+                for mask, _ in options:
                     if not mask & state:
                         child = state | mask
                         total += 1 if child == full else table[child]
                 table[state] = total
         return table
 
-    def walk(self) -> Iterator[tuple[list[Tile], list[int]]]:
+    def walk(self) -> Iterator[list[int]]:
         """Every tiling, depth first with placements in table order, as its stack.
 
-        Each tiling comes as (tiles, picks): its tiles in root order and, next
-        to each, the position of its placement in the table read root by root
-        (`[tile for options in self.placements for tile, _ in options]`), so
-        a consumer can keep its own data per placement.  Both lists are the
-        walk's stack, valid until the walk resumes.
+        Each tiling comes as the positions in `tiles` of its placements, in
+        root order, so a consumer can keep its own data per placement.  The
+        list is the walk's stack, valid until the walk resumes.
 
         A state whose subtree yielded no tiling is dead and never entered
         again; skipping it leaves the order of the tilings unchanged.
         """
-        full = self.full
-        position = count()
-        numbered = [[(tile, mask, next(position)) for tile, mask in opts] for opts in self.placements]
-        tiles: list[Tile] = []
+        full, placements = self.full, self.placements
         picks: list[int] = []
         dead: set[int] = set()
         found = 0  # tilings yielded so far
         # Each frame: state, its untried placements, `found` when it was entered.
-        stack = [(0, iter(numbered[0]), 0)]
+        stack = [(0, iter(placements[0]), 0)]
         while stack:
             state, remaining, before = stack[-1]
-            for tile, mask, pick in remaining:
+            for mask, pick in remaining:
                 if mask & state:
                     continue
                 child = state | mask
                 if child in dead:
                     continue
-                tiles.append(tile)
                 picks.append(pick)
                 if child == full:
                     found += 1
-                    yield tiles, picks
-                    tiles.pop()
+                    yield picks
                     picks.pop()
                     continue
                 free = full ^ child  # the next tile is rooted at the minimal free cell
-                stack.append((child, iter(numbered[(free & -free).bit_length() - 1]), found))
+                stack.append((child, iter(placements[(free & -free).bit_length() - 1]), found))
                 break
             else:
                 stack.pop()
                 if found == before:
                     dead.add(state)
-                if tiles:
-                    tiles.pop()
+                if picks:
                     picks.pop()
 
 
-_Table = tuple[_Searcher, dict[int, int]]
+_Table = tuple[_Searcher | None, dict[int, int]]
 
 
 class _TableCache:
@@ -258,16 +253,15 @@ class _TableCache:
         self._lock = threading.Lock()  # sample_tiling may run on several threads at once
 
     def get(self, region: Region, n: int) -> _Table:
-        """The searcher for (region, n) and its `completions` table."""
+        """The searcher for (region, n) and its `completions` table; (None, {0: 0}) if ruled out."""
         key = (region, n)
         with self._lock:
             entry = self.tables.get(key)
             if entry is not None:
                 self.tables.move_to_end(key)
                 return entry
-        searcher = _Searcher(region, [n])
-        # A region that the level profile rules out gets no sweep: no state has a completion.
-        table = {0: 0} if _root_levels(region, n) is None else searcher.completions()
+        searcher = _searcher_for(region, n)
+        table = {0: 0} if searcher is None else searcher.completions()
         entry = (searcher, table)
         size = len(table)
         with self._lock:
@@ -328,8 +322,9 @@ def enumerate_tilings(region: Region, n: int) -> Iterator[Tiling]:
     searcher = _searcher_for(region, n)
     if searcher is None:
         return
-    for tiles, _ in searcher.walk():
-        yield Tiling(region, tuple(tiles))
+    tile_at = searcher.tiles.__getitem__
+    for picks in searcher.walk():
+        yield Tiling(region, tuple(map(tile_at, picks)))
 
 
 def is_tileable(region: Region, n: int) -> bool:
@@ -363,23 +358,23 @@ def sample_tiling(region: Region, n: int, seed: int) -> Tiling:
     if region.area % n:
         raise NotTileableError(f"area {region.area} is not a multiple of {n}")
     searcher, table = _tables.get(region, n)
-    full = searcher.full
-    total = table[0]
+    total = table[0]  # also 0 for a ruled-out region, which has no searcher
     if total == 0:
         raise NotTileableError(f"region of area {region.area} has no {n}-ribbon tiling")
+    full = searcher.full
     rng = random.Random(seed)
     covered = 0
     tiles: list[Tile] = []
     remaining = total
     while covered != full:
         pick = rng.randrange(remaining)
-        for tile, mask in searcher.options(covered):
+        for mask, position in searcher.options(covered):
             if mask & covered:
                 continue
             child = covered | mask
             weight = 1 if child == full else table[child]
             if pick < weight:
-                tiles.append(tile)
+                tiles.append(searcher.tiles[position])
                 covered = child
                 remaining = weight
                 break

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
-from .enumeration import NotTileableError, enumerate_tilings
+from .enumeration import NotTileableError, _root_levels, enumerate_tilings
 from .region import Cell, Region, Tile, Tiling
 
 SAME_LEVEL = "same_level"
@@ -103,8 +103,8 @@ def _first_tiling(region: Region, n: int) -> Tiling:
 
 def tile_levels(region: Region, n: int) -> dict[int, int]:
     """Number of tiles rooted at each level (a tiling-independent profile)."""
-    profile = Counter(tile.root.level for tile in _first_tiling(region, n).tiles)
-    return dict(sorted(profile.items()))
+    _first_tiling(region, n)  # the level histogram alone cannot prove that a tiling exists
+    return _root_levels(region, n)
 
 
 def _forced_arc(u: VertexId, u_tile: Tile, v: VertexId, v_tile: Tile) -> tuple[VertexId, VertexId]:

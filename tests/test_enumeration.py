@@ -2,6 +2,7 @@
 
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -32,7 +33,6 @@ from ribbonry import (
     log2_big,
     parse_region,
     sample_tiling,
-    tile_levels,
     tiling_probability,
 )
 from ribbonry import enumeration
@@ -153,11 +153,15 @@ def test_walk_expands_each_dead_state_once():
 
 def test_placements_at_canonical_order():
     region = build_rectangle(3, 3)
-    tiles = [tile for tile, _ in _Searcher(region, [3]).placements[0]]
-    assert all(tile.root == Cell(0, 0) for tile in tiles)
-    assert [t.shape.moves for t in tiles] == ["EE", "EN", "NE", "NN"]
-    mixed = [tile for tile, _ in _Searcher(region, [1, 2]).placements[0]]
-    assert [t.shape.moves for t in mixed] == ["", "E", "N"]
+    for lengths, at_origin in (([3], ["EE", "EN", "NE", "NN"]), ([1, 2], ["", "E", "N"])):
+        searcher = _Searcher(region, lengths)
+        tiles = [searcher.tiles[p] for _, p in searcher.placements[0]]
+        assert [t.shape.moves for t in tiles] == at_origin
+        # Positions run root by root through the whole of `tiles`.
+        positions = [p for options in searcher.placements for _, p in options]
+        assert positions == list(range(len(searcher.tiles)))
+        for i, options in enumerate(searcher.placements):
+            assert all(searcher.tiles[p].root == searcher.order[i] for _, p in options)
 
 
 def test_is_tileable_matches_count():
@@ -414,7 +418,8 @@ def test_level_profile_rules_out_only_untileable_regions(cells, n):
     if profile is None:
         assert count == 0
     elif count:
-        assert profile == tile_levels(region, n)
+        first = next(enumerate_tilings(region, n))
+        assert profile == Counter(tile.root.level for tile in first.tiles)
 
 
 def test_level_profile_values():
@@ -424,6 +429,19 @@ def test_level_profile_values():
     assert enumeration._root_levels(parse_region("#..#"), 2) is None
     # Two cells on the top level, where no domino can be rooted.
     assert enumeration._root_levels(parse_region("#.\n.#"), 2) is None
+
+
+def test_level_profile_agrees_with_the_rectangle_closed_form():
+    # An a x b rectangle has an n-ribbon tiling iff n divides a or b, which
+    # is the case is_tileable answers without a search.
+    for rows in range(1, 21):
+        for cols in range(1, 21):
+            rect = build_rectangle(rows, cols)
+            for n in range(1, 9):
+                if rows * cols % n == 0:
+                    ruled_out = enumeration._root_levels(rect, n) is None
+                    assert ruled_out == (rows % n != 0 and cols % n != 0), (rows, cols, n)
+                    assert ruled_out == (not is_tileable(rect, n)), (rows, cols, n)
 
 
 def test_level_profile_answers_without_a_search(monkeypatch):
