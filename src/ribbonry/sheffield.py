@@ -6,17 +6,19 @@ ranks counted left to right by root x.  The graph has one vertex per address
 and an edge whenever two addresses are at most n levels apart.  Edge classes:
 
 - same_level: both endpoints on one level; always oriented by rank.
-- forced_n:   exactly n levels apart; the geometry fixes one direction,
-              identical in every tiling.
-- free:       1..n-1 levels apart; each tiling orients these via the light
-              rule, and tilings correspond one-to-one with the acyclic
-              orientations that extend the fixed (tau) directions.
+- forced_n:   exactly n levels apart; on a simply connected region the
+              direction is the same in every tiling (Sheffield 2002), but on
+              a region with holes it can vary from tiling to tiling.
+- free:       1..n-1 levels apart; tilings correspond one-to-one with the
+              acyclic orientations that extend the fixed (tau) directions.
 
-The light rule: two tiles whose root levels are 1..n-1 apart always share at
-least one anti-diagonal, and whichever tile owns the more western cell on the
-shared anti-diagonals lies to the left.  The comparison is pairwise; tiles
-sitting between the two are irrelevant.  Arcs here always point from the left
-tile to the right tile.
+One left-of rule orients every pair, in every class.  Take tiles u and v
+whose root levels are 0..n apart, u's root not above v's.  Each cell of v is
+compared with u's cell on the same level or, past u's top, on the level
+below; u lies left of v when u's cell is the more western one, and every
+comparison must agree.  The comparison is pairwise; tiles sitting between
+the two are irrelevant.  Arcs always point from the left tile to the right
+tile.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
 from .enumeration import NotTileableError, _root_levels, enumerate_tilings
-from .region import Cell, Region, Tile, Tiling
+from .region import Region, Tiling
 
 SAME_LEVEL = "same_level"
 FREE = "free"
@@ -36,7 +38,12 @@ FORCED = "forced_n"
 
 
 class GraphInconsistencyError(RuntimeError):
-    """Raised when a tiling and a graph disagree in a way that should be impossible."""
+    """Raised when a tiling and a graph disagree.
+
+    On a simply connected region that should be impossible.  On a region
+    with holes it also flags a tiling that orients a forced pair against
+    tau, since there the forced directions can vary between tilings.
+    """
 
 
 class VertexId(NamedTuple):
@@ -82,15 +89,19 @@ class SGraph:
         }
 
 
-def _label_tiles(tiling: Tiling) -> dict[VertexId, Tile]:
-    """Address each tile as (root level, left-to-right rank within the level)."""
-    by_level: dict[int, list[Tile]] = {}
+def _label_tiles(tiling: Tiling) -> dict[VertexId, dict[int, int]]:
+    """Address each tile as (root level, left-to-right rank within the level).
+
+    Each address maps to the tile's cells as {level: x}, all the left-of
+    rule reads.
+    """
+    by_level: dict[int, list[dict[int, int]]] = {}
     for tile in tiling.tiles:
-        by_level.setdefault(tile.root.level, []).append(tile)
-    labels: dict[VertexId, Tile] = {}
+        by_level.setdefault(tile.root.level, []).append({c.level: c.x for c in tile.cells()})
+    labels: dict[VertexId, dict[int, int]] = {}
     for level, tiles in by_level.items():
-        for rank, tile in enumerate(sorted(tiles, key=lambda t: t.root.x), start=1):
-            labels[VertexId(level, rank)] = tile
+        for rank, x_at in enumerate(sorted(tiles, key=lambda t: t[level]), start=1):
+            labels[VertexId(level, rank)] = x_at
     return labels
 
 
@@ -107,13 +118,17 @@ def tile_levels(region: Region, n: int) -> dict[int, int]:
     return _root_levels(region, n)
 
 
-def _forced_arc(u: VertexId, u_tile: Tile, v: VertexId, v_tile: Tile) -> tuple[VertexId, VertexId]:
-    """Direction of an exactly-n-apart pair, read off one tiling.
+def _arc(u: VertexId, u_x: dict[int, int], v: VertexId, v_x: dict[int, int]) -> tuple[VertexId, VertexId]:
+    """Orient u-v by the left-of rule (module docstring), left tile -> right.
 
-    u must be the lower tile.  v sits to u's right exactly when v's root
-    lies strictly east of u's top cell; the arc runs left tile -> right tile.
+    u's root must lie 0..n levels below v's.  Raises GraphInconsistencyError
+    unless every comparison of the rule agrees.
     """
-    return (u, v) if v_tile.root.x > u_tile.top.x else (v, u)
+    top = u.level + len(u_x) - 1
+    verdicts = {u_x[min(level, top)] < x for level, x in v_x.items() if level <= top + 1}
+    if len(verdicts) != 1:
+        raise GraphInconsistencyError(f"tiles {u} and {v} lie neither left nor right of each other")
+    return (u, v) if verdicts.pop() else (v, u)
 
 
 def build_graph(region: Region, n: int) -> SGraph:
@@ -127,14 +142,10 @@ def build_graph(region: Region, n: int) -> SGraph:
             gap = v.level - u.level
             if gap > n:
                 break  # vertices ascend by level: the rest are further up
-            if gap == 0:
-                edges.append(SEdge(u, v, SAME_LEVEL))
-                tau.add((u, v))  # ranks ascend left to right
-            elif gap == n:
-                edges.append(SEdge(u, v, FORCED))
-                tau.add(_forced_arc(u, labels[u], v, labels[v]))
-            else:
-                edges.append(SEdge(u, v, FREE))
+            cls = SAME_LEVEL if gap == 0 else FORCED if gap == n else FREE
+            edges.append(SEdge(u, v, cls))
+            if cls != FREE:
+                tau.add(_arc(u, labels[u], v, labels[v]))
     graph = SGraph(n=n, vertices=vertices, edges=tuple(edges), tau=frozenset(tau))
     if not is_acyclic(graph.vertices, graph.tau):
         raise GraphInconsistencyError("fixed arc set tau contains a directed cycle")
@@ -163,44 +174,21 @@ def is_acyclic(vertices: Iterable[VertexId], arcs: Iterable[tuple[VertexId, Vert
     return peeled == len(out)
 
 
-def _light_arc(u: VertexId, u_tile: Tile, v: VertexId, v_tile: Tile) -> tuple[VertexId, VertexId]:
-    """Orient a free edge by the light rule.
-
-    Light travels north-west along anti-diagonals, so a ray from one tile's
-    cell reaches the other tile exactly when the other's cell on that shared
-    level lies further west.  The tiles overlap in levels (their roots are
-    less than n apart), and the western tile must be the same on every
-    shared level; the arc runs from it to the eastern tile.
-    """
-    u_x = {c.level: c.x for c in u_tile.cells()}
-    v_x = {c.level: c.x for c in v_tile.cells()}
-    shared = u_x.keys() & v_x.keys()
-    if not shared:
-        raise GraphInconsistencyError(f"tiles {u} and {v} share no level")
-    verdicts = {u_x[level] < v_x[level] for level in shared}
-    if len(verdicts) != 1:
-        raise GraphInconsistencyError(
-            f"light rule gives both directions for edge {u}-{v}"
-        )
-    return (u, v) if verdicts.pop() else (v, u)
-
-
 def orientation_from_tiling(tiling: Tiling, graph: SGraph) -> frozenset[tuple[VertexId, VertexId]]:
     """The acyclic orientation this tiling induces on the graph's edges.
 
-    Fixed (tau) arcs are copied; each free edge is oriented by the light
-    rule.  Raises GraphInconsistencyError if the tiling's level profile does
-    not match the graph, if the light rule is ambiguous on some free edge,
-    or if the result contains a cycle.
+    Every edge is oriented from the tiling by the left-of rule.  Raises
+    GraphInconsistencyError if the tiling's level profile does not match
+    the graph, if the rule is ambiguous on some edge, if the result does
+    not extend tau (a forced pair turned round, possible only on a region
+    with holes) or if it contains a cycle.
     """
     labels = _label_tiles(tiling)
-    if set(labels) != set(graph.vertices):
+    if labels.keys() != set(graph.vertices):
         raise GraphInconsistencyError("tiling level profile does not match graph vertices")
-    arcs: set[tuple[VertexId, VertexId]] = set(graph.tau)
-    for edge in graph.edges:
-        if edge.cls == FREE:
-            arcs.add(_light_arc(edge.u, labels[edge.u], edge.v, labels[edge.v]))
-    result = frozenset(arcs)
+    result = frozenset(_arc(e.u, labels[e.u], e.v, labels[e.v]) for e in graph.edges)
+    if not graph.tau <= result:
+        raise GraphInconsistencyError("tiling orients a forced pair against tau")
     if not is_acyclic(graph.vertices, result):
         raise GraphInconsistencyError("induced orientation contains a cycle")
     return result
@@ -483,11 +471,13 @@ def verify_bijection(region: Region, n: int) -> BijectionReport:
     """Check tilings map one-to-one onto the admissible acyclic orientations.
 
     Walks every tiling once, so the region must be small enough for that.
-    Each tiling's orientation extends tau by construction and is checked
-    acyclic by orientation_from_tiling; the walk's tiling count is compared
-    with count_admissible_orientations, an independent engine, and the
-    orientations must be pairwise distinct.  Raises NotTileableError if the
-    region has no tiling.
+    orientation_from_tiling reads each tiling's orientation off the tiling
+    and checks that it extends tau and is acyclic; the walk's tiling count
+    is compared with count_admissible_orientations, an independent engine,
+    and the orientations must be pairwise distinct.  Raises
+    NotTileableError if the region has no tiling, and
+    GraphInconsistencyError on a region with holes whose tilings do not all
+    orient the forced pairs alike.
     """
     graph = build_graph(region, n)
     admissible = count_admissible_orientations(graph)

@@ -2,8 +2,9 @@
 
 Deliberately different algorithms from the package: the tiling counter here
 recurses on the lowest uncovered cell in raster (y, x) order over plain
-frozensets, the orientation and coloring counters are exhaustive, and the
-polynomial helpers work on coefficient lists.
+frozensets, the orientation and coloring counters are exhaustive, the
+polynomial helpers work on coefficient lists, and the arc references orient
+free and forced tile pairs by two separate rules where the package uses one.
 """
 
 from __future__ import annotations
@@ -181,3 +182,23 @@ def minimal_tilings_oracle(cells: frozenset[tuple[int, int]]) -> tuple[int, int]
     sizes = tilings_by_size_oracle(cells, {})
     fewest = min(sizes, default=len(cells) + 1)
     return (fewest, sizes.get(fewest, 0))
+
+
+def light_arc_reference(u, u_cells, v, v_cells):
+    """Arc of a free pair: on the levels both tiles cover, the western tile lies left.
+
+    Cells are (x, y) in walk order; every shared level must give the same
+    verdict, and the arc runs from the left tile to the right one.
+    """
+    u_x = {x + y: x for x, y in u_cells}
+    v_x = {x + y: x for x, y in v_cells}
+    verdicts = {u_x[level] < v_x[level] for level in u_x.keys() & v_x.keys()}
+    if len(verdicts) != 1:
+        raise AssertionError(f"no single light-rule verdict for {u}-{v}")
+    return (u, v) if verdicts.pop() else (v, u)
+
+
+def forced_arc_reference(u, u_cells, v, v_cells):
+    """Arc of an exactly-n-apart pair, u the lower tile: v lies right of u
+    exactly when v's root is strictly east of u's top cell."""
+    return (u, v) if v_cells[0][0] > u_cells[-1][0] else (v, u)

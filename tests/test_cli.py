@@ -357,6 +357,28 @@ def test_usage_errors_exit_2(capsys):
         assert "error" in err, argv
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--rect", "3"), "--rect wants ROWSxCOLS, got '3'"),
+        (("--aztec", "N=2,n=3,q=1"), "--aztec wants N=…,n=…,k=…, got 'N=2,n=3,q=1'"),
+        (("--stair", "M=x,n=3"), "--stair: M must be an integer, got 'x'"),
+        (("--rect", "3x3", "--n", "0"), "ribbon length must be positive, got 0"),
+    ],
+)
+def test_usage_error_messages(capsys, flags, message):
+    assert run(capsys, "count", *flags) == (2, "", f"error: {message}\n")
+
+
+def test_verify_formulas_checks_every_strip(capsys):
+    code, out, _ = run(capsys, "verify", "formulas")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["passed"] == len(payload["checks"]) == 119
+    strip = [c for c in payload["checks"] if c["name"] == "rect 5x6 n=5"]
+    assert [(c["expected"], c["status"]) for c in strip] == [("360", "pass")]
+
+
 def test_grid_parse_error_exits_2(capsys, tmp_path):
     path = tmp_path / "grid.txt"
     path.write_text("##\n#x")

@@ -3,13 +3,18 @@
 import math
 import sys
 from fractions import Fraction
+from itertools import islice
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     count_acyclic_oracle,
     count_colorings_oracle,
     falling_poly,
+    forced_arc_reference,
+    light_arc_reference,
     poly_mul,
     poly_pow,
 )
@@ -31,6 +36,7 @@ from ribbonry import (
     enumerate_tilings,
     graphs_isomorphic,
     is_acyclic,
+    is_tileable,
     orientation_from_tiling,
     parse_region,
     tile_levels,
@@ -156,6 +162,67 @@ def test_orientation_extends_tau_and_is_injective():
             assert is_acyclic(graph.vertices, orientation)
             seen.add(orientation)
         assert len(seen) == count_tilings(region, n)
+
+
+def _tiles_by_slot(tiling) -> dict:
+    """Each tile's cells, keyed by (root level, rank by root x within the level)."""
+    slots = {}
+    for tile in sorted(tiling.tiles, key=lambda t: (t.root.level, t.root.x)):
+        rank = sum(1 for v in slots if v.level == tile.root.level) + 1
+        slots[VertexId(tile.root.level, rank)] = tile.cells()
+    return slots
+
+
+def test_left_of_rule_matches_the_reference_rules():
+    cases = GRAPH_BATTERY + [(region, n) for _, region, n in bijection_battery()]
+    for region, n in cases:
+        graph = build_graph(region, n)
+        first = _tiles_by_slot(next(enumerate_tilings(region, n)))
+        forced = [e for e in graph.edges if e.cls == FORCED]
+        want = {forced_arc_reference(e.u, first[e.u], e.v, first[e.v]) for e in forced}
+        assert {a for a in graph.tau if abs(a[0].level - a[1].level) == n} == want
+        for tiling in islice(enumerate_tilings(region, n), 400):
+            slots = _tiles_by_slot(tiling)
+            free = {light_arc_reference(e.u, slots[e.u], e.v, slots[e.v]) for e in graph.free_edges}
+            assert orientation_from_tiling(tiling, graph) == graph.tau | free, (region, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(st.integers(2, 6), st.integers(2, 6)).flatmap(
+        lambda size: st.sets(
+            st.tuples(st.integers(0, size[0] - 1), st.integers(0, size[1] - 1)), max_size=4
+        ).map(lambda gone: {(x, y) for x in range(size[0]) for y in range(size[1])} - gone)
+    ),
+    st.integers(2, 4),
+)
+def test_forced_directions_fixed_on_simply_connected_regions(cells, n):
+    # Sheffield (2002): on a simply connected region every tiling orients
+    # the exactly-n-apart pairs alike, so each one extends tau.
+    assume(cells)
+    region = Region.from_cells(cells)
+    assume(region.is_connected and region.is_simply_connected and is_tileable(region, n))
+    graph = build_graph(region, n)
+    for tiling in islice(enumerate_tilings(region, n), 200):
+        assert graph.tau <= orientation_from_tiling(tiling, graph)
+
+
+def test_holed_region_turns_a_forced_pair_round():
+    # The 3x3 ring has 2 domino tilings; one of them orients a forced pair
+    # against the tau read off the first, which no simply connected region does.
+    ring = parse_region("###\n#.#\n###")
+    assert not ring.is_simply_connected
+    graph = build_graph(ring, 2)
+    raised = 0
+    for tiling in enumerate_tilings(ring, 2):
+        try:
+            orientation_from_tiling(tiling, graph)
+        except GraphInconsistencyError as exc:
+            assert "against tau" in str(exc)
+            raised += 1
+    assert (raised, count_tilings(ring, 2)) == (1, 2)
+    with pytest.raises(GraphInconsistencyError, match="against tau"):
+        verify_bijection(ring, 2)
 
 
 def test_orientation_rejects_profile_mismatch():
@@ -438,6 +505,15 @@ def test_isomorphic_negative_on_classes_and_sizes():
     )
     assert graphs_isomorphic(free_edge, forced_edge) == (False, None)
     assert graphs_isomorphic(free_edge, _cycle_graph([3])) == (False, None)
+
+
+def test_isomorphic_negative_on_colour_census():
+    # A 4-vertex path and a 3-leaf star agree on vertex, edge and class
+    # counts; only the refined colours (the star's centre has degree 3) differ.
+    a, b, c, d = (VertexId(0, rank) for rank in range(4))
+    path = _free_graph([a, b, c, d], [(a, b), (b, c), (c, d)])
+    star = _free_graph([a, b, c, d], [(a, b), (a, c), (a, d)])
+    assert graphs_isomorphic(path, star) == (False, None)
 
 
 def _as_digraph(nx, graph: SGraph):
