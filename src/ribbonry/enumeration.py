@@ -29,11 +29,15 @@ increasing i with no stack and no memo.  The core runs in two modes:
 Every search reads one placement table, built once by `_Searcher`:
 `tiles` lists every placement that fits, and `placements[i]` pairs the mask
 of each one rooted at cell i with its position in `tiles`.  The enumeration
-walk (`_Searcher.walk`) needs no counts.  It keeps its own explicit stack and
-the states it has found to have no completion, and at each full tiling
-yields its stack: the positions of the placements made, in root order.
-`enumerate_tilings` turns them into a `Tiling`; the CLI's listing looks up
-output built once per placement instead.  No search recurses, so region
+walk (`_Searcher.walk`) needs no counts and builds nothing up front.  It
+keeps its own explicit stack and searches each state once: it records the
+state's live edges, the placements that lead to a tiling, and replays them
+on every later visit, so it never tests a placement twice nor enters a dead
+state.  The record costs one edge list per searched state, at most the
+states reachable from 0.  At each full tiling the walk yields its stack:
+the positions of the placements made, in root order.  `enumerate_tilings`
+turns them into a `Tiling`; the CLI's listing looks up output built once
+per placement instead.  No search recurses, so region
 size, not search depth, bounds what can be counted or listed.
 
 Before any search, `_root_levels` reads the number of tiles rooted at each
@@ -58,7 +62,7 @@ import random
 import threading
 from collections import OrderedDict, defaultdict
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from .region import Region, RibbonShape, Tile, Tiling
 
@@ -207,38 +211,64 @@ class _Searcher:
         root order, so a consumer can keep its own data per placement.  The
         list is the walk's stack, valid until the walk resumes.
 
-        A state whose subtree yielded no tiling is dead and never entered
-        again; skipping it leaves the order of the tilings unchanged.
+        Each state is searched once.  The first visit tests the state's
+        placements in table order and keeps an edge (pick, child) as live
+        when the child is the full state or its subtree yielded a tiling;
+        when the state is done, its live edges are recorded, an empty
+        record marking it dead.  Every later visit replays the record, with
+        no mask test, and never enters a dead state, so the tilings come in
+        the same order.  The record is one edge list per searched state, at
+        most the states reachable from 0, and lives only as long as the walk.
         """
         full, placements = self.full, self.placements
         picks: list[int] = []
-        dead: set[int] = set()
-        found = 0  # tilings yielded so far
-        # Each frame: state, its untried placements, `found` when it was entered.
-        stack = [(0, iter(placements[0]), 0)]
+        # State -> its live edges, each (pick, the child's live edges or None at the full state).
+        live: dict[int, Any] = {}
+        # Each frame: state, its untried placements, its live edges so far.
+        stack = [(0, iter(placements[0]), [])]
         while stack:
-            state, remaining, before = stack[-1]
+            state, remaining, kept = stack[-1]
             for mask, pick in remaining:
                 if mask & state:
                     continue
                 child = state | mask
-                if child in dead:
-                    continue
-                picks.append(pick)
                 if child == full:
-                    found += 1
+                    kept.append((pick, None))
+                    picks.append(pick)
                     yield picks
                     picks.pop()
                     continue
-                free = full ^ child  # the next tile is rooted at the minimal free cell
-                stack.append((child, iter(placements[(free & -free).bit_length() - 1]), found))
-                break
+                edges = live.get(child)
+                if edges is None:
+                    picks.append(pick)
+                    free = full ^ child  # the next tile is rooted at the minimal free cell
+                    stack.append((child, iter(placements[(free & -free).bit_length() - 1]), []))
+                    break
+                if not edges:
+                    continue  # a dead state
+                kept.append((pick, edges))
+                picks.append(pick)
+                # Replay the child's subtree from its record, then go on here.
+                replay = [iter(edges)]
+                while replay:
+                    for pick, edges in replay[-1]:
+                        picks.append(pick)
+                        if edges is None:
+                            yield picks
+                            picks.pop()
+                        else:
+                            replay.append(iter(edges))
+                            break
+                    else:
+                        replay.pop()
+                        picks.pop()
             else:
                 stack.pop()
-                if found == before:
-                    dead.add(state)
+                live[state] = kept or ()  # every dead state shares one empty record
                 if picks:
-                    picks.pop()
+                    pick = picks.pop()
+                    if kept:
+                        stack[-1][2].append((pick, kept))
 
 
 _Table = tuple[_Searcher | None, dict[int, int]]

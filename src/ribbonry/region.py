@@ -174,7 +174,10 @@ class Region:
 
     @cached_property
     def is_simply_connected(self) -> bool:
-        """True iff the complement within an inflated bounding frame is connected."""
+        """True iff the region is connected and has no hole: its complement
+        within an inflated bounding frame is connected too."""
+        if not self.is_connected:
+            return False
         min_x, min_y, max_x, max_y = self.bounds
         frame = {
             Cell(x, y)

@@ -2,15 +2,18 @@
 
 Deliberately different algorithms from the package: the tiling counter here
 recurses on the lowest uncovered cell in raster (y, x) order over plain
-frozensets, the orientation and coloring counters are exhaustive, the
-polynomial helpers work on coefficient lists, and the arc references orient
-free and forced tile pairs by two separate rules where the package uses one.
+frozensets, the tiling lister recurses with no memo and no record of dead
+ends, the orientation and coloring counters are exhaustive, the polynomial
+helpers work on coefficient lists, and the arc references orient free and
+forced tile pairs by two separate rules where the package uses one.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+
+from ribbonry.region import Cell, RibbonShape, Tile
 
 
 def ribbon_cells(root: tuple[int, int], word: str) -> list[tuple[int, int]] | None:
@@ -59,6 +62,33 @@ def count_tilings_oracle(
     if memo is not None:
         memo[cells] = total
     return total
+
+
+def tilings_oracle(cells: frozenset[tuple[int, int]], n: int) -> list[tuple[Tile, ...]]:
+    """Every n-ribbon tiling of `cells` as its tiles, in the order the package lists them.
+
+    Recurses on the free cell that is minimal in (level, x) order and tries
+    the shapes in `RibbonShape.all_shapes(n)` order, over plain frozensets
+    with no memo and no record of dead ends.
+    """
+    shapes = RibbonShape.all_shapes(n)
+    out: list[tuple[Tile, ...]] = []
+    tiles: list[Tile] = []
+
+    def extend(free: frozenset[tuple[int, int]]) -> None:
+        if not free:
+            out.append(tuple(tiles))
+            return
+        x, y = min(free, key=lambda c: (c[0] + c[1], c[0]))
+        for shape in shapes:
+            tile = frozenset(ribbon_cells((x, y), shape.moves))
+            if tile <= free:
+                tiles.append(Tile(Cell(x, y), shape))
+                extend(free - tile)
+                tiles.pop()
+
+    extend(frozenset(cells))
+    return out
 
 
 def region_cells(region) -> frozenset[tuple[int, int]]:

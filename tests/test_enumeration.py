@@ -15,6 +15,7 @@ from oracles import (
     minimal_tilings_oracle,
     region_cells,
     tilings_by_size_oracle,
+    tilings_oracle,
 )
 from ribbonry import (
     Cell,
@@ -149,6 +150,41 @@ def test_walk_expands_each_dead_state_once():
     finally:
         sys.setprofile(None)
     assert 0 < entered <= reachable == 616
+
+
+class _CountedTable(list):
+    """A placement table that counts the lists read from it, one per state searched."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_walk_searches_each_state_once():
+    # 4x12 n=4 has 528 states short of the full one; searching every visit
+    # anew would read 213,359 placement lists to list its 88,447 tilings.
+    for region, n in [
+        (build_rectangle(4, 12), 4),
+        (build_rectangle(6, 6), 3),
+        (build_rectangle(5, 10), 5),
+    ]:
+        searcher = _Searcher(region, [n])
+        states = len(searcher.completions())
+        searcher.placements = table = _CountedTable(searcher.placements)
+        assert sum(1 for _ in searcher.walk()) == count_tilings(region, n)
+        assert 0 < table.reads <= states
+
+
+def test_first_tiling_searches_only_its_path():
+    # The walk keeps no table built up front: 12x12 n=3 has 1,134,718 states,
+    # and the first tiling needs one state per tile placed before the last.
+    region = build_rectangle(12, 12)
+    searcher = _Searcher(region, [3])
+    searcher.placements = table = _CountedTable(searcher.placements)
+    assert len(next(searcher.walk())) == region.area // 3
+    assert table.reads < region.area
 
 
 def test_placements_at_canonical_order():
@@ -391,13 +427,24 @@ def test_count_matches_oracle_random_regions(cells, n):
     assert count_tilings(region, n) == want
 
 
-def _holed_rectangles():
-    """A rectangle of 2 to 6 columns and rows with some of its cells taken out."""
+def _holed_rectangles(most_gone=5):
+    """A rectangle of 2 to 6 columns and rows with up to `most_gone` of its cells taken out."""
     return st.tuples(st.integers(2, 6), st.integers(2, 6)).flatmap(
         lambda size: st.sets(
-            st.tuples(st.integers(0, size[0] - 1), st.integers(0, size[1] - 1)), max_size=5
+            st.tuples(st.integers(0, size[0] - 1), st.integers(0, size[1] - 1)),
+            max_size=most_gone,
         ).map(lambda gone: {(x, y) for x in range(size[0]) for y in range(size[1])} - gone)
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_holed_rectangles(4).filter(bool), st.integers(1, 4))
+@example({(x, y) for x in range(3) for y in range(3)} - {(1, 1)}, 2)  # a hole
+@example({(x, y) for x in range(5) for y in range(2)} - {(2, 0), (2, 1)}, 2)  # two pieces
+def test_enumeration_order_matches_oracle(cells, n):
+    region = Region.from_cells(cells)
+    got = [tiling.tiles for tiling in enumerate_tilings(region, n)]
+    assert got == tilings_oracle(region_cells(region), n)
 
 
 @settings(max_examples=200, deadline=None)

@@ -143,6 +143,10 @@ def test_region_with_hole_is_not_simply_connected():
 def test_region_disconnected():
     region = parse_region("#.#")
     assert not region.is_connected
+    # Two pieces, neither with a hole: not simply connected either.
+    pieces = parse_region("##.##")
+    assert not pieces.is_connected
+    assert not pieces.is_simply_connected
 
 
 def test_region_contains_and_iter():
