@@ -12,19 +12,18 @@ occupancy of the band of levels [L, L + n - 1].  With cells indexed in
 (level, x) order the covered bitmask is all ones below the band and all
 zeros above it, so the bitmask itself identifies the state.
 
-Every count goes through one layered core, `_Searcher.layers`.  Layer i holds
-the states whose minimal free cell is i.  A placement covers that cell, so a
-state's children all land in higher layers, and the layers are expanded in
-increasing i with no stack and no memo.  The core runs in two modes:
+Counting sweeps layers (`_Searcher.sweep`).  Layer i holds the states whose
+minimal free cell is i.  A placement covers that cell, so a state's children
+all land in higher layers, and the layers are expanded in increasing i with
+no stack and no memo, each dropped once expanded, so memory is bounded by
+the live layers, not by every state visited.  `count_tilings` and
+`count_variable` carry the number of ways to reach a state;
+`count_minimal` carries (fewest tiles, ways) with a min-plus merge.
 
-- Sweep mode (`_Searcher.sweep`) carries a value forward from state 0 and
-  drops each layer once expanded, so memory is bounded by the live layers,
-  not by every state visited.  `count_tilings` and `count_variable` carry
-  the number of ways to reach a state; `count_minimal` carries (fewest
-  tiles, ways) with a min-plus merge.
-- Table mode (`_Searcher.completions`) keeps every layer, then fills the
-  number of completions of each state from the top layer down, for the
-  sampler.
+The sampler's table (`_Searcher.completions`) comes from one post-order
+search from state 0 on an explicit stack.  It memoises the number of
+completions of every state it reaches, a dead end as 0, so each state is
+searched once, and a state's count is known when its last child's is.
 
 Every search reads one placement table, built once by `_Searcher`:
 `tiles` lists every placement that fits, and `placements[i]` pairs the mask
@@ -125,23 +124,22 @@ class _Searcher:
         free = self.full ^ covered
         return self.placements[(free & -free).bit_length() - 1]
 
-    def layers(
-        self, start: _V, extend: Callable[[_V], _V], merge: Callable[[_V, _V], _V]
-    ) -> Iterator[tuple[int, dict[int, _V]]]:
-        """Every state reachable from 0, one layer at a time, with its value.
+    def sweep(
+        self, start: _V, extend: Callable[[_V], _V], merge: Callable[[_V, _V], _V], stuck: _V
+    ) -> _V:
+        """The value carried from state 0 to the full state, or `stuck` if it is never reached.
 
-        Layer i holds the states whose minimal free cell is i, and is yielded
-        as (i, layer) in increasing i.  Every cell below i is covered, so a
-        state of layer i is keyed by its bits from cell i up (`covered >> i`),
-        which keeps keys as wide as the frontier band, not the region.  The
-        full state, if reached, comes last: layer `area`, key 0.
+        Layer i holds the states whose minimal free cell is i.  Every cell
+        below i is covered, so a state of layer i is keyed by its bits from
+        cell i up (`covered >> i`), which keeps keys as wide as the frontier
+        band, not the region.
 
         State 0 starts with `start`.  A state passes `extend(value)` to each
         child, and a child reached more than once merges the values with
         `merge`.  A placement covers the minimal free cell, so every child
-        lands in a higher layer: a layer is complete when yielded and dropped
-        once its children are made, and only the layers not yet expanded are
-        ever held.
+        lands in a higher layer: the layers are expanded in increasing i,
+        each complete when its turn comes and dropped once its children are
+        made, so only the layers not yet expanded are ever held.
         """
         pending: defaultdict[int, dict[int, _V]] = defaultdict(dict)
         pending[0][0] = start
@@ -149,7 +147,6 @@ class _Searcher:
             layer = pending.pop(i, None)
             if layer is None:
                 continue
-            yield i, layer
             masks = [mask >> i for mask, _ in options]
             for state, value in layer.items():
                 value = extend(value)
@@ -163,17 +160,8 @@ class _Searcher:
                     child >>= step
                     old = nxt.get(child)
                     nxt[child] = value if old is None else merge(old, value)
-        if pending:
-            yield self.region.area, pending.pop(self.region.area)
-
-    def sweep(
-        self, start: _V, extend: Callable[[_V], _V], merge: Callable[[_V, _V], _V], stuck: _V
-    ) -> _V:
-        """The value that `layers` carries to the full state, or `stuck` if none."""
-        for i, layer in self.layers(start, extend, merge):
-            if i == self.region.area:
-                return layer[0]
-        return stuck
+        # Every layer below the full state's has been expanded and dropped.
+        return pending[self.region.area][0] if pending else stuck
 
     def count(self) -> int:
         """Number of tilings: ways to reach the full state from state 0."""
@@ -182,26 +170,36 @@ class _Searcher:
     def completions(self) -> dict[int, int]:
         """Completion counts of every state reachable from 0 but the full one.
 
-        The table is keyed by the covered bitmask.  Its states come from a
-        forward pass that keeps its layers; the counts are then filled from
-        the top layer down, the full state counting 1 and a dead end 0.
+        The table is keyed by the covered bitmask, and a dead end counts 0.
+        It is filled by one depth-first search from state 0 on an explicit
+        stack: a child already in the table adds its count without being
+        searched again, and a state's count goes in when its frame pops,
+        after every child's.
         """
-        area, full = self.region.area, self.full
-        kept = []
-        for i, layer in self.layers(1, _same, operator.add):
-            if i < area:
-                below = (1 << i) - 1  # every cell under i is covered
-                kept.append((i, [(state << i) | below for state in layer]))
-        table: dict[int, int] = {}
-        for i, states in reversed(kept):
-            options = self.placements[i]
-            for state in states:
-                total = 0
-                for mask, _ in options:
-                    if not mask & state:
-                        child = state | mask
-                        total += 1 if child == full else table[child]
+        full, placements = self.full, self.placements
+        table = {full: 1}
+        # Each frame: state, its untried placements, its completions so far.
+        stack = [[0, iter(placements[0]), 0]]
+        while stack:
+            frame = stack[-1]
+            state, remaining, total = frame
+            for mask, _ in remaining:
+                if mask & state:
+                    continue
+                child = state | mask
+                known = table.get(child)
+                if known is None:
+                    frame[2] = total
+                    free = full ^ child  # the next tile is rooted at the minimal free cell
+                    stack.append([child, iter(placements[(free & -free).bit_length() - 1]), 0])
+                    break
+                total += known
+            else:
+                stack.pop()
                 table[state] = total
+                if stack:
+                    stack[-1][2] += total
+        del table[full]
         return table
 
     def walk(self) -> Iterator[list[int]]:

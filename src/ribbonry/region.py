@@ -211,9 +211,6 @@ class Region:
             rows.append("".join("#" if Cell(x, y) in self.cells else "." for x in range(max_x + 1)))
         return "\n".join(rows)
 
-    def to_json_dict(self) -> dict:
-        return {"cells": [[c.x, c.y] for c in sorted(self.cells)]}
-
     def __contains__(self, cell: object) -> bool:
         return cell in self.cells
 

@@ -7,12 +7,15 @@ import shlex
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from itertools import islice
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from closed_pipe import ClosedPipe
 from oracles import fib
@@ -368,6 +371,91 @@ def test_usage_errors_exit_2(capsys):
 )
 def test_usage_error_messages(capsys, flags, message):
     assert run(capsys, "count", *flags) == (2, "", f"error: {message}\n")
+
+
+_FORMATS = {
+    "count": ("json", "text"),
+    "sample": ("json", "text"),
+    "enumerate": ("json", "text"),
+    "graph": ("dot", "json"),
+}
+
+
+def _usually(value, other):
+    """`value` seven times in eight, else `other`."""
+    return st.sampled_from([value] * 7 + [other]).flatmap(lambda chosen: chosen)
+
+
+_SIDE = _usually(st.integers(1, 6), st.integers(-1, 0))
+_N = _usually(st.integers(1, 7), st.integers(-2, 0))
+
+
+@st.composite
+def _region_spec(draw, keys):
+    """`K=v,...` for `keys`, each key usually there, now and then with a stray part."""
+    parts = [f"{key}={draw(values)}" for key, values in keys if draw(_usually(st.just(True), st.just(False)))]
+    parts += draw(_usually(st.just([]), st.sampled_from([["q=1"], ["n=two"]])))
+    return ",".join(draw(st.permutations(parts)))
+
+
+@st.composite
+def _cli_request(draw):
+    """argv for count, sample, enumerate or graph, built from the README grammar,
+    and the grid text that `--grid` reads from a file or from stdin.
+
+    Sides stay at 6 or under (an Aztec diamond of size 3 is 6 wide), so no
+    request is oversized; flags go missing, conflict and take bad values.
+    """
+    command = draw(st.sampled_from(sorted(_FORMATS)))
+    rows = draw(st.lists(st.text("#.", min_size=1, max_size=6), max_size=6))
+    grid = "\n".join(rows) + draw(_usually(st.just(""), st.just("x")))
+    sources = draw(_usually(st.just(1), st.sampled_from([0, 2])))
+    pairs = []
+    for source in draw(st.permutations(["rect", "aztec", "stair", "grid"]))[:sources]:
+        if source == "rect":
+            sides = st.builds("{}x{}".format, _SIDE, _SIDE)
+            value = draw(_usually(sides, st.sampled_from(["3", "3x", "ax2", "2x2x2"])))
+        elif source == "aztec":
+            size = _usually(st.integers(1, 3), st.integers(-1, 0))
+            offset = _usually(st.integers(0, 2), st.integers(-1, 5))
+            value = draw(_region_spec([("N", size), ("n", _N), ("k", offset)]))
+        elif source == "stair":
+            value = draw(_region_spec([("M", _SIDE), ("n", _N)]))
+        else:
+            value = draw(st.sampled_from(["-", "GRID", "GRID", "/nonexistent/grid.txt"]))
+        pairs.append([f"--{source}", value])
+    # --aztec and --stair carry n, so a second one is usually left out.
+    embedded = any(source in ("--aztec", "--stair") for source, _ in pairs)
+    if draw(_usually(st.just(not embedded), st.just(embedded))):
+        pairs.append(["--n", draw(_usually(_N.map(str), st.just("two")))])
+    if draw(st.booleans()):
+        formats = st.sampled_from(_FORMATS[command])
+        pairs.append(["--format", draw(_usually(formats, st.sampled_from(["svg", "xml"])))])
+    if command == "sample" and draw(st.booleans()):
+        pairs.append(["--seed", str(draw(st.integers(-5, 10**6)))])
+    return [command] + [word for pair in draw(st.permutations(pairs)) for word in pair], grid
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cli_request())
+def test_cli_grammar_exits_cleanly(tmp_path_factory, request_and_grid):
+    argv, grid = request_and_grid
+    path = tmp_path_factory.getbasetemp() / "fuzz-grid.txt"
+    path.write_text(grid)
+    argv = [str(path) if word == "GRID" else word for word in argv]
+    out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(grid)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    if code == 2:
+        assert out.getvalue() == "", argv
 
 
 def test_verify_formulas_checks_every_strip(capsys):

@@ -427,14 +427,38 @@ def test_count_matches_oracle_random_regions(cells, n):
     assert count_tilings(region, n) == want
 
 
-def _holed_rectangles(most_gone=5):
-    """A rectangle of 2 to 6 columns and rows with up to `most_gone` of its cells taken out."""
-    return st.tuples(st.integers(2, 6), st.integers(2, 6)).flatmap(
+def _holed_rectangles(most_gone=5, longest=6):
+    """A rectangle of 2 to `longest` columns and rows with up to `most_gone` of its cells taken out."""
+    return st.tuples(st.integers(2, longest), st.integers(2, longest)).flatmap(
         lambda size: st.sets(
             st.tuples(st.integers(0, size[0] - 1), st.integers(0, size[1] - 1)),
             max_size=most_gone,
         ).map(lambda gone: {(x, y) for x in range(size[0]) for y in range(size[1])} - gone)
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_holed_rectangles(4, longest=5).filter(bool), st.integers(2, 3))
+@example({(x, y) for x in range(3) for y in range(3)} - {(1, 1)}, 2)  # a hole
+@example({(x, y) for x in range(5) for y in range(2)} - {(2, 0), (2, 1)}, 2)  # two pieces
+def test_completion_table_holds_every_reachable_state(cells, n):
+    searcher = _Searcher(Region.from_cells(cells), [n])
+    table = searcher.completions()
+    # The states reachable from 0, each placing a tile at its minimal free cell.
+    reachable, todo = {0}, [0]
+    while todo:
+        state = todo.pop()
+        if state == searcher.full:
+            continue
+        root = next(i for i in range(len(searcher.order)) if not state >> i & 1)
+        for mask, _ in searcher.placements[root]:
+            if not mask & state and state | mask not in reachable:
+                reachable.add(state | mask)
+                todo.append(state | mask)
+    assert table.keys() == reachable - {searcher.full}
+    for state, completions in table.items():
+        left = [cell for i, cell in enumerate(searcher.order) if not state >> i & 1]
+        assert completions == count_tilings(Region.from_cells(left), n), state
 
 
 @settings(max_examples=60, deadline=None)
@@ -501,8 +525,8 @@ def test_level_profile_answers_without_a_search(monkeypatch):
     def no_search(*args):
         raise AssertionError("searched a region that the level profile rules out")
 
-    monkeypatch.setattr(_Searcher, "layers", no_search)
-    monkeypatch.setattr(_Searcher, "walk", no_search)
+    for search in ("sweep", "completions", "walk"):
+        monkeypatch.setattr(_Searcher, search, no_search)
     assert count_tilings(cross, 4) == 0
     assert not is_tileable(cross, 4)
     assert list(enumerate_tilings(cross, 4)) == []

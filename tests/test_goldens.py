@@ -1,5 +1,6 @@
-"""Outputs pinned as sha256 digests: seed -> sampled tiling, enumeration order,
-CLI listings, isomorphism witnesses and chromatic coefficients.
+"""Outputs pinned as sha256 digests: seed -> sampled tiling, the sampler's
+completion tables, enumeration order, CLI listings, isomorphism witnesses and
+chromatic coefficients.
 
 The tiling digests were recorded from the recursive frontier search, the
 graph digests before isomorphism and the chromatic peel moved onto
@@ -24,6 +25,7 @@ from ribbonry import (
     sample_tiling,
 )
 from ribbonry.cli import main
+from ribbonry.enumeration import _Searcher
 from ribbonry.verify import bijection_battery
 
 
@@ -52,6 +54,20 @@ SAMPLE_GOLDENS = [
     (build_stair(10, 4), 4, 0, "325f70e4377707386610fd542332e09d3ab42c1d156e83081b320e5fc852344c"),
     (build_aztec(5, 3, 1), 3, 0, "3edf93c7b6491307242cf185ab14a2c2006f3cfef296c27b8067e6bcf5a63d13"),
     (build_rectangle(2, 300), 2, 0, "defa601b2214ef077f9273aa3e0ed24d00b8ae944e2806b62214c43abacdaa61"),
+]
+
+# The bench's `sample` regions and 8x8 n=4: table size and the digest of
+# `repr(sorted(table.items()))`, recorded from the two-pass table build (a
+# forward sweep that kept its layers, then a back pass over them).
+COMPLETION_TABLE_GOLDENS = [
+    (build_rectangle(3, 3), 3, 11, "55532671fd14b8ce84929f5235f0c9157728da78dc10c336928f291ec20067a0"),
+    (build_rectangle(3, 7), 3, 43, "188f2ce9f8269e117c5f400e28f1693b6fc8f815f68283854513797c321fc832"),
+    (build_rectangle(4, 8), 4, 292, "f5d47fb8e3b912bba2b1e93cebb7c669b5b09628b4c4bb133d48c45835ccd499"),
+    (build_stair(10, 4), 4, 28, "5d8bb4404302a41fc9d303ee66921b06171d2e29299dd53a5447249c0c32044c"),
+    (build_aztec(5, 3, 1), 3, 983, "9ecadf74d72379eb7b371936bd2d749d2e71f6768999cb49ea8966cfe7b6cece"),
+    (build_rectangle(10, 10), 2, 4095, "501d0a5d64312f39588238178333e585762289eba9d7833689f6fb5965f9a3d5"),
+    (build_rectangle(2, 300), 2, 599, "4500b4f917e4d318383998d3bd07c8c2bc3bee8c7e0a7f8c4751a04d9f453a6b"),
+    (build_rectangle(8, 8), 4, 47114, "5f85594a6e14f4870d4728d7eb283619bde94b59a2daf3e8b0a8ba73bac96340"),
 ]
 
 ENUMERATION_GOLDENS = [
@@ -96,6 +112,14 @@ def test_cli_listing_golden(monkeypatch, argv, head, digest):
 @pytest.mark.parametrize("region,n,seed,digest", SAMPLE_GOLDENS)
 def test_sample_golden(region, n, seed, digest):
     assert sha256(sample_tiling(region, n, seed).to_json()) == digest
+
+
+@pytest.mark.parametrize("region,n,size,digest", COMPLETION_TABLE_GOLDENS)
+def test_completion_table_golden(region, n, size, digest):
+    # The size is what the sampler's cache charges against its budget.
+    table = _Searcher(region, [n]).completions()
+    assert len(table) == size
+    assert sha256(repr(sorted(table.items()))) == digest
 
 
 @pytest.mark.parametrize("region,n,lines,digest", ENUMERATION_GOLDENS)
