@@ -1,16 +1,18 @@
 """Exact counting, streaming enumeration, and uniform sampling of ribbon tilings.
 
 The search places one tile at a time, always rooted at the uncovered cell
-that is minimal in (level, x) order.  Any ribbon covering that cell must be
-rooted there (a ribbon meets one cell per level, so a root at a lower level
-would itself be an uncovered cell of lower level), which makes the search
-exhaustive and duplicate-free.
+that comes first in a fixed cell order.  A ribbon steps only E or N, so in
+any order where every cell comes before its E and N neighbours a ribbon's
+root is its first cell.  Any ribbon covering the first free cell must then
+be rooted there (a root earlier in the order would itself be a free cell
+before it), which makes the search exhaustive and duplicate-free.  Three
+such orders are used: (level, x), row-major (y, x) and column-major (x, y).
 
-Once the minimal uncovered cell sits at level L, every cell below level L is
-covered and no cell at level >= L + n can be covered yet, so the state is the
-occupancy of the band of levels [L, L + n - 1].  With cells indexed in
-(level, x) order the covered bitmask is all ones below the band and all
-zeros above it, so the bitmask itself identifies the state.
+Every cell before the first free cell is covered, so the covered bitmask,
+with cells indexed in the order, is all ones below it and identifies the
+state.  In (level, x) order, once the first free cell sits at level L no
+cell at level >= L + n can be covered yet, so the state is the occupancy
+of the band of levels [L, L + n - 1].
 
 Counting sweeps layers (`_Searcher.sweep`).  Layer i holds the states whose
 minimal free cell is i.  A placement covers that cell, so a state's children
@@ -20,14 +22,21 @@ the live layers, not by every state visited.  `count_tilings` and
 `count_variable` carry the number of ways to reach a state;
 `count_minimal` carries (fewest tiles, ways) with a min-plus merge.
 
+`count_tilings` sweeps a rectangle with n >= 3 along its long side: column
+by column when it has more columns than rows, row by row when it has more
+rows than columns (`_counting_order`).  There the sweep meets fewer states
+than in (level, x) order, which every other count keeps.
+
 The sampler's table (`_Searcher.completions`) comes from one post-order
 search from state 0 on an explicit stack.  It memoises the number of
 completions of every state it reaches, a dead end as 0, so each state is
 searched once, and a state's count is known when its last child's is.
 
 Every search reads one placement table, built once by `_Searcher`:
-`tiles` lists every placement that fits, and `placements[i]` pairs the mask
-of each one rooted at cell i with its position in `tiles`.  The enumeration
+`moves` lists the steps of every placement that fits, and `placements[i]`
+pairs the mask of each one rooted at cell i with its position in `moves`.
+`tiles` turns them into `Tile`s when first read, which only listing and
+sampling do.  The enumeration
 walk (`_Searcher.walk`) needs no counts and builds nothing up front.  It
 keeps its own explicit stack and searches each state once: it records the
 state's live edges, the placements that lead to a tiling, and replays them
@@ -36,8 +45,10 @@ state.  The record costs one edge list per searched state, at most the
 states reachable from 0.  At each full tiling the walk yields its stack:
 the positions of the placements made, in root order.  `enumerate_tilings`
 turns them into a `Tiling`; the CLI's listing looks up output built once
-per placement instead.  No search recurses, so region
-size, not search depth, bounds what can be counted or listed.
+per placement instead.  Listing and sampling search in (level, x) order,
+which fixes the canonical listing order and each seed's tiling.  No search
+recurses, so region size, not search depth, bounds what can be counted or
+listed.
 
 Before any search, `_root_levels` reads the number of tiles rooted at each
 level off the region's level histogram.  When that profile is impossible,
@@ -61,9 +72,10 @@ import random
 import threading
 from collections import OrderedDict, defaultdict
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
-from .region import Region, RibbonShape, Tile, Tiling
+from .region import Cell, Region, RibbonShape, Tile, Tiling
 
 _V = TypeVar("_V")
 
@@ -80,37 +92,45 @@ class NotTileableError(ValueError):
 
 
 class _Searcher:
-    """Placement table and frontier search over one region and set of lengths."""
+    """Placement table and frontier search over one region and set of lengths.
 
-    def __init__(self, region: Region, lengths: Iterable[int]) -> None:
+    Cells are indexed in `order`, (level, x) unless one is given; any order
+    in which every cell comes before its E and N neighbours is exact (see
+    the module docstring).  Listing and sampling need (level, x) order.
+    """
+
+    def __init__(
+        self, region: Region, lengths: Iterable[int], order: Iterable[Cell] | None = None
+    ) -> None:
         self.region = region
         self.lengths = frozenset(lengths)
         if not self.lengths or min(self.lengths) < 1:
             raise ValueError("lengths must be positive")
         self.max_len = max(self.lengths)
-        self.order = region.sorted_cells
+        self.order = region.sorted_cells if order is None else tuple(order)
         self.index = {c: i for i, c in enumerate(self.order)}
         self.full = (1 << region.area) - 1
-        self.tiles: list[Tile] = []  # every placement that fits, root by root
+        # A ribbon climbs one level per cell, so none rises past the top level.
+        self.top = max(region.level_histogram)
+        self.moves: list[str] = []  # the moves of every placement that fits, root by root
         self.placements = [self._placements_for(i) for i in range(region.area)]
 
     def _placements_for(self, root_index: int) -> list[tuple[int, int]]:
         """Masks of the tiles rooted at cell `root_index` that fit the region.
 
-        Each tile is appended to `tiles`, and its mask comes with its position
-        there.  Order is canonical: depth first, a shape before its
+        Each tile's moves are appended to `moves`, and its mask comes with its
+        position there.  Order is canonical: depth first, a shape before its
         extensions and E before N.
         """
         root = self.order[root_index]
-        # A ribbon climbs one level per cell, so none rooted here is longer.
-        longest = min(self.max_len, self.order[-1].level - root.level + 1)
+        longest = min(self.max_len, self.top - root.level + 1)
         out: list[tuple[int, int]] = []
         stack = [(root, "", 1 << root_index)] if longest >= min(self.lengths) else []
         while stack:
             at, moves, mask = stack.pop()
             if len(moves) + 1 in self.lengths:
-                out.append((mask, len(self.tiles)))
-                self.tiles.append(Tile(root, RibbonShape(moves)))
+                out.append((mask, len(self.moves)))
+                self.moves.append(moves)
             if len(moves) + 1 == longest:
                 continue
             for mv, nxt in (("N", at.north()), ("E", at.east())):
@@ -118,6 +138,19 @@ class _Searcher:
                 if j is not None:
                     stack.append((nxt, moves + mv, mask | (1 << j)))
         return out
+
+    @cached_property
+    def tiles(self) -> list[Tile]:
+        """Every placement as a `Tile`, by position; built on first use.
+
+        Only listing and sampling read tiles, so counting never builds them.
+        """
+        shapes = {moves: RibbonShape(moves) for moves in set(self.moves)}
+        return [
+            Tile(root, shapes[self.moves[position]])
+            for root, options in zip(self.order, self.placements)
+            for _, position in options
+        ]
 
     def options(self, covered: int) -> list[tuple[int, int]]:
         """The placements rooted at the minimal free cell of `covered`."""
@@ -129,10 +162,10 @@ class _Searcher:
     ) -> _V:
         """The value carried from state 0 to the full state, or `stuck` if it is never reached.
 
-        Layer i holds the states whose minimal free cell is i.  Every cell
-        below i is covered, so a state of layer i is keyed by its bits from
-        cell i up (`covered >> i`), which keeps keys as wide as the frontier
-        band, not the region.
+        Layer i holds the states whose first free cell in the searcher's
+        order is i.  Every cell before i is covered, so a state of layer i
+        is keyed by its bits from cell i up (`covered >> i`), which keeps
+        keys as wide as the frontier band, not the region.
 
         State 0 starts with `start`.  A state passes `extend(value)` to each
         child, and a child reached more than once merges the values with
@@ -329,19 +362,43 @@ def _root_levels(region: Region, n: int) -> dict[int, int] | None:
     return {low + i: rooted for i, rooted in enumerate(roots) if rooted}
 
 
-def _searcher_for(region: Region, n: int) -> _Searcher | None:
+def _searcher_for(
+    region: Region, n: int, order: Callable[[Region, int], Iterable[Cell]] | None = None
+) -> _Searcher | None:
     """The searcher over the region's n-ribbon tilings, or None when the area
-    or the level profile already rules every tiling out."""
+    or the level profile already rules every tiling out.
+
+    Its cells are in `order(region, n)` when an order is given, else in
+    (level, x) order."""
     if n < 1:
         raise ValueError(f"ribbon length must be positive, got {n}")
     if region.area % n or _root_levels(region, n) is None:
         return None
-    return _Searcher(region, [n])
+    return _Searcher(region, [n], None if order is None else order(region, n))
+
+
+def _counting_order(region: Region, n: int) -> tuple[Cell, ...]:
+    """The cell order `count_tilings` sweeps the region in.
+
+    A rectangle with n >= 3 is swept along its long side: column-major
+    (x, y) when it has more columns than rows, row-major (y, x) when it has
+    more rows than columns.  On such strips the sweep meets fewer states
+    than in (level, x) order (6x30 n=6: 181,064 against 409,622).  Squares,
+    other regions and n <= 2 keep (level, x): there the other orders tie or
+    meet more states, up to 196 times as many on Aztec diamonds.
+    """
+    if n >= 3 and region.is_rectangle():
+        _, _, max_x, max_y = region.bounds
+        if max_x > max_y:
+            return tuple(sorted(region.cells))  # a Cell sorts by (x, y)
+        if max_y > max_x:
+            return tuple(sorted(region.cells, key=lambda c: (c.y, c.x)))
+    return region.sorted_cells
 
 
 def count_tilings(region: Region, n: int) -> int:
     """Number of tilings of the region by n-ribbons (0 if there are none)."""
-    searcher = _searcher_for(region, n)
+    searcher = _searcher_for(region, n, _counting_order)
     return 0 if searcher is None else searcher.count()
 
 

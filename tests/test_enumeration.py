@@ -533,3 +533,124 @@ def test_level_profile_answers_without_a_search(monkeypatch):
     for untileable in (lambda: sample_tiling(cross, 4, seed=0), lambda: build_graph(cross, 4)):
         with pytest.raises(NotTileableError, match="region of area 108 has no 4-ribbon tiling"):
             untileable()
+
+
+def _cell_orders(region):
+    """The three orders a searcher may take: (level, x), row-major and column-major."""
+    return {
+        "level": region.sorted_cells,
+        "row": tuple(sorted(region.cells, key=lambda c: (c.y, c.x))),
+        "column": tuple(sorted(region.cells, key=lambda c: (c.x, c.y))),
+    }
+
+
+@settings(max_examples=80, deadline=None)
+@given(_holed_rectangles(4).filter(bool), st.integers(2, 4))
+@example({(x, y) for x in range(3) for y in range(3)} - {(1, 1)}, 2)  # a hole
+@example({(x, y) for x in range(5) for y in range(2)} - {(2, 0), (2, 1)}, 2)  # two pieces
+# In column order the last cell, (1, 0), sits below the top level, where the
+# domino rooted at (0, 1) ends.
+@example({(0, 0), (0, 1), (0, 2), (1, 0)}, 2)
+def test_counts_agree_in_every_cell_order(cells, n):
+    region = Region.from_cells(cells)
+    want = _Searcher(region, [n]).count()
+    base = set(_Searcher(region, [n]).tiles)
+    for name, order in _cell_orders(region).items():
+        searcher = _Searcher(region, [n], order)
+        assert searcher.count() == want, name
+        # The same placements fit, whatever the order numbers them by.
+        assert set(searcher.tiles) == base, name
+
+
+def test_rectangle_counts_survive_transposition():
+    # Transposing maps ribbons to ribbons; on a rectangle with n >= 3 and
+    # unequal sides it pits the column-order sweep against the row-order one.
+    for rows in range(1, 7):
+        for cols in range(1, 11):
+            for n in range(2, 7):
+                got = count_tilings(build_rectangle(rows, cols), n)
+                assert got == count_tilings(build_rectangle(cols, rows), n), (rows, cols, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_holed_rectangles(4).filter(bool), st.integers(2, 4))
+def test_counts_survive_transposition(cells, n):
+    flipped = {(y, x) for x, y in cells}
+    assert count_tilings(Region.from_cells(cells), n) == count_tilings(Region.from_cells(flipped), n)
+
+
+# The bench's wide rectangles, as (rows, cols, n).
+WIDE_COUNTS = [(6, 12, 6), (6, 18, 6), (6, 24, 6), (6, 30, 6), (3, 90, 3), (4, 60, 4), (5, 30, 5)]
+
+
+def test_counting_order_follows_the_long_side():
+    for rows, cols, n in WIDE_COUNTS:
+        wide, tall = build_rectangle(rows, cols), build_rectangle(cols, rows)
+        assert enumeration._counting_order(wide, n) == _cell_orders(wide)["column"]
+        assert enumeration._counting_order(tall, n) == _cell_orders(tall)["row"]
+    level_order = [
+        (build_rectangle(12, 12), 3),
+        (build_rectangle(8, 8), 4),
+        (build_rectangle(12, 12), 2),
+        (build_rectangle(2, 400), 2),
+        (build_rectangle(30, 6), 2),
+        (build_rectangle(1, 600), 1),
+        (build_aztec(8, 3, 0), 3),
+        (build_stair(40, 5), 5),
+        (parse_region("###..\n#....\n....."), 3),  # an L: wider than tall, not a rectangle
+    ]
+    for region, n in level_order:
+        assert enumeration._counting_order(region, n) == region.sorted_cells, (region, n)
+
+
+def _record_searchers(monkeypatch) -> list:
+    """Every _Searcher built from now on, in the order they are built."""
+    built = []
+    init = _Searcher.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(_Searcher, "__init__", recording_init)
+    return built
+
+
+def test_count_builds_one_searcher_in_the_counting_order(monkeypatch):
+    built = _record_searchers(monkeypatch)
+    for region, n in [
+        (build_rectangle(6, 12), 6),
+        (build_rectangle(12, 6), 6),
+        (build_rectangle(6, 6), 3),
+        (build_aztec(4, 2, 0), 2),
+    ]:
+        built.clear()
+        assert count_tilings(region, n) > 0
+        assert [s.order for s in built] == [enumeration._counting_order(region, n)]
+
+
+def test_listing_and_sampling_search_in_level_order(monkeypatch):
+    fresh_tables(monkeypatch)
+    built = _record_searchers(monkeypatch)
+    region = build_rectangle(3, 6)  # wide, so counting would sweep it by columns
+    next(enumerate_tilings(region, 3))
+    sample_tiling(region, 3, seed=1)
+    build_graph(region, 3)
+    assert len(built) == 3
+    assert all(s.order == region.sorted_cells for s in built)
+
+
+def test_counting_builds_no_tiles(monkeypatch):
+    counts = [
+        lambda: count_tilings(build_rectangle(4, 8), 4),
+        lambda: count_tilings(build_aztec(3, 2, 0), 2),
+        lambda: count_variable(build_rectangle(2, 3)),
+        lambda: count_minimal(build_rectangle(2, 3)),
+    ]
+    want = [count() for count in counts]
+
+    def no_tile(*args):
+        raise AssertionError("built a Tile while counting")
+
+    monkeypatch.setattr(enumeration, "Tile", no_tile)
+    assert [count() for count in counts] == want
