@@ -126,8 +126,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     """
     region, n = _resolve_region(args)
     searcher = _searcher_for(region, n)
-    if searcher is None:
-        return 0
     write = sys.stdout.write
     if args.format == "text":
         for grid in _letter_grids(region, searcher.tiles, searcher.walk()):

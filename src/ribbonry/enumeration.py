@@ -50,10 +50,10 @@ which fixes the canonical listing order and each seed's tiling.  No search
 recurses, so region size, not search depth, bounds what can be counted or
 listed.
 
-Before any search, `_root_levels` reads the number of tiles rooted at each
-level off the region's level histogram.  When that profile is impossible,
-counting returns 0, sampling raises and listing yields nothing, without a
-search.
+Before any search, `_searcher_for` checks the area and the tiles rooted at
+each level, which `_root_levels` reads off the level histogram.  When either
+rules every tiling out, the searcher is over no lengths and has no placement
+to try: counting returns 0, sampling raises and listing yields nothing.
 
 A completion table depends only on the region and n, not on the seed, so
 `sample_tiling` keeps the tables of recently sampled (region, n) pairs,
@@ -104,9 +104,9 @@ class _Searcher:
     ) -> None:
         self.region = region
         self.lengths = frozenset(lengths)
-        if not self.lengths or min(self.lengths) < 1:
+        if min(self.lengths, default=1) < 1:
             raise ValueError("lengths must be positive")
-        self.max_len = max(self.lengths)
+        self.max_len = max(self.lengths, default=0)
         self.order = region.sorted_cells if order is None else tuple(order)
         self.index = {c: i for i, c in enumerate(self.order)}
         self.full = (1 << region.area) - 1
@@ -125,7 +125,7 @@ class _Searcher:
         root = self.order[root_index]
         longest = min(self.max_len, self.top - root.level + 1)
         out: list[tuple[int, int]] = []
-        stack = [(root, "", 1 << root_index)] if longest >= min(self.lengths) else []
+        stack = [(root, "", 1 << root_index)] if longest >= min(self.lengths, default=1) else []
         while stack:
             at, moves, mask = stack.pop()
             if len(moves) + 1 in self.lengths:
@@ -157,10 +157,8 @@ class _Searcher:
         free = self.full ^ covered
         return self.placements[(free & -free).bit_length() - 1]
 
-    def sweep(
-        self, start: _V, extend: Callable[[_V], _V], merge: Callable[[_V, _V], _V], stuck: _V
-    ) -> _V:
-        """The value carried from state 0 to the full state, or `stuck` if it is never reached.
+    def sweep(self, start: _V, extend: Callable[[_V], _V], merge: Callable[[_V, _V], _V]) -> _V | None:
+        """The value carried from state 0 to the full state, or None if it is never reached.
 
         Layer i holds the states whose first free cell in the searcher's
         order is i.  Every cell before i is covered, so a state of layer i
@@ -194,11 +192,11 @@ class _Searcher:
                     old = nxt.get(child)
                     nxt[child] = value if old is None else merge(old, value)
         # Every layer below the full state's has been expanded and dropped.
-        return pending[self.region.area][0] if pending else stuck
+        return pending[self.region.area].get(0)
 
     def count(self) -> int:
         """Number of tilings: ways to reach the full state from state 0."""
-        return self.sweep(1, _same, operator.add, 0)
+        return self.sweep(1, _same, operator.add) or 0
 
     def completions(self) -> dict[int, int]:
         """Completion counts of every state reachable from 0 but the full one.
@@ -302,7 +300,7 @@ class _Searcher:
                         stack[-1][2].append((pick, kept))
 
 
-_Table = tuple[_Searcher | None, dict[int, int]]
+_Table = tuple[_Searcher, dict[int, int]]
 
 
 class _TableCache:
@@ -314,7 +312,7 @@ class _TableCache:
         self._lock = threading.Lock()  # sample_tiling may run on several threads at once
 
     def get(self, region: Region, n: int) -> _Table:
-        """The searcher for (region, n) and its `completions` table; (None, {0: 0}) if ruled out."""
+        """The searcher for (region, n) and its `completions` table."""
         key = (region, n)
         with self._lock:
             entry = self.tables.get(key)
@@ -322,7 +320,7 @@ class _TableCache:
                 self.tables.move_to_end(key)
                 return entry
         searcher = _searcher_for(region, n)
-        table = {0: 0} if searcher is None else searcher.completions()
+        table = searcher.completions()
         entry = (searcher, table)
         size = len(table)
         with self._lock:
@@ -362,19 +360,14 @@ def _root_levels(region: Region, n: int) -> dict[int, int] | None:
     return {low + i: rooted for i, rooted in enumerate(roots) if rooted}
 
 
-def _searcher_for(
-    region: Region, n: int, order: Callable[[Region, int], Iterable[Cell]] | None = None
-) -> _Searcher | None:
-    """The searcher over the region's n-ribbon tilings, or None when the area
-    or the level profile already rules every tiling out.
-
-    Its cells are in `order(region, n)` when an order is given, else in
-    (level, x) order."""
+def _searcher_for(region: Region, n: int, order: Iterable[Cell] | None = None) -> _Searcher:
+    """The searcher over the region's n-ribbon tilings, its cells in `order`
+    or else in (level, x) order; over no lengths, with no placement to try,
+    when the area or the level profile already rules every tiling out."""
     if n < 1:
         raise ValueError(f"ribbon length must be positive, got {n}")
-    if region.area % n or _root_levels(region, n) is None:
-        return None
-    return _Searcher(region, [n], None if order is None else order(region, n))
+    tileable = region.area % n == 0 and _root_levels(region, n) is not None
+    return _Searcher(region, [n] if tileable else (), order)
 
 
 def _counting_order(region: Region, n: int) -> tuple[Cell, ...]:
@@ -398,15 +391,12 @@ def _counting_order(region: Region, n: int) -> tuple[Cell, ...]:
 
 def count_tilings(region: Region, n: int) -> int:
     """Number of tilings of the region by n-ribbons (0 if there are none)."""
-    searcher = _searcher_for(region, n, _counting_order)
-    return 0 if searcher is None else searcher.count()
+    return _searcher_for(region, n, _counting_order(region, n)).count()
 
 
 def enumerate_tilings(region: Region, n: int) -> Iterator[Tiling]:
     """Stream every tiling exactly once, in canonical (root, shape-word) order."""
     searcher = _searcher_for(region, n)
-    if searcher is None:
-        return
     tile_at = searcher.tiles.__getitem__
     for picks in searcher.walk():
         yield Tiling(region, tuple(map(tile_at, picks)))
@@ -420,8 +410,6 @@ def is_tileable(region: Region, n: int) -> bool:
     """
     if n < 1:
         raise ValueError(f"ribbon length must be positive, got {n}")
-    if region.area % n:
-        return False
     if region.is_rectangle():
         _, _, max_x, max_y = region.bounds
         return (max_y + 1) % n == 0 or (max_x + 1) % n == 0
@@ -443,7 +431,7 @@ def sample_tiling(region: Region, n: int, seed: int) -> Tiling:
     if region.area % n:
         raise NotTileableError(f"area {region.area} is not a multiple of {n}")
     searcher, table = _tables.get(region, n)
-    total = table[0]  # also 0 for a ruled-out region, which has no searcher
+    total = table[0]
     if total == 0:
         raise NotTileableError(f"region of area {region.area} has no {n}-ribbon tiling")
     full = searcher.full
@@ -504,7 +492,8 @@ def _fewer_tiles(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
 def count_minimal(region: Region) -> tuple[int, int]:
     """(fewest ribbons in any tiling, number of tilings using that few)."""
     searcher = _Searcher(region, range(1, region.area + 1))
-    return searcher.sweep((0, 1), _one_more_tile, _fewer_tiles, (region.area + 1, 0))
+    # Lengths 1..area include the monomino, so the full state is always reached.
+    return searcher.sweep((0, 1), _one_more_tile, _fewer_tiles)
 
 
 def log2_big(value: int) -> float:

@@ -27,6 +27,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
 from .enumeration import NotTileableError, _root_levels, enumerate_tilings
@@ -105,8 +106,8 @@ def _label_tiles(tiling: Tiling) -> dict[VertexId, dict[int, int]]:
     return labels
 
 
-def _first_tiling(region: Region, n: int) -> Tiling:
-    first = next(enumerate_tilings(region, n), None)
+def _first_tiling(region: Region, n: int, tilings: Iterator[Tiling]) -> Tiling:
+    first = next(tilings, None)
     if first is None:
         raise NotTileableError(f"region of area {region.area} has no {n}-ribbon tiling")
     return first
@@ -114,7 +115,7 @@ def _first_tiling(region: Region, n: int) -> Tiling:
 
 def tile_levels(region: Region, n: int) -> dict[int, int]:
     """Number of tiles rooted at each level (a tiling-independent profile)."""
-    _first_tiling(region, n)  # the level histogram alone cannot prove that a tiling exists
+    _first_tiling(region, n, enumerate_tilings(region, n))  # the histogram cannot prove one exists
     return _root_levels(region, n)
 
 
@@ -133,7 +134,12 @@ def _arc(u: VertexId, u_x: dict[int, int], v: VertexId, v_x: dict[int, int]) -> 
 
 def build_graph(region: Region, n: int) -> SGraph:
     """Construct the tile-adjacency graph from the region's first tiling."""
-    labels = _label_tiles(_first_tiling(region, n))
+    return _graph_of(_first_tiling(region, n, enumerate_tilings(region, n)), n)
+
+
+def _graph_of(first: Tiling, n: int) -> SGraph:
+    """The tile-adjacency graph read off `first`, the region's first n-ribbon tiling."""
+    labels = _label_tiles(first)
     vertices = tuple(sorted(labels))
     edges: list[SEdge] = []
     tau: set[tuple[VertexId, VertexId]] = set()
@@ -470,7 +476,8 @@ class BijectionReport:
 def verify_bijection(region: Region, n: int) -> BijectionReport:
     """Check tilings map one-to-one onto the admissible acyclic orientations.
 
-    Walks every tiling once, so the region must be small enough for that.
+    Walks every tiling once, so the region must be small enough for that;
+    the graph is built from the walk's first tiling, as build_graph does.
     orientation_from_tiling reads each tiling's orientation off the tiling
     and checks that it extends tau and is acyclic; the walk's tiling count
     is compared with count_admissible_orientations, an independent engine,
@@ -479,17 +486,14 @@ def verify_bijection(region: Region, n: int) -> BijectionReport:
     GraphInconsistencyError on a region with holes whose tilings do not all
     orient the forced pairs alike.
     """
-    graph = build_graph(region, n)
-    admissible = count_admissible_orientations(graph)
-    seen: set[frozenset] = set()
-    total = 0
-    for tiling in enumerate_tilings(region, n):
-        seen.add(orientation_from_tiling(tiling, graph))
-        total += 1
+    tilings = enumerate_tilings(region, n)
+    first = _first_tiling(region, n, tilings)
+    graph = _graph_of(first, n)
+    orientations = [orientation_from_tiling(tiling, graph) for tiling in chain((first,), tilings)]
     return BijectionReport(
-        tiling_count=total,
-        orientation_count=admissible,
-        injective=len(seen) == total,
+        tiling_count=len(orientations),
+        orientation_count=count_admissible_orientations(graph),
+        injective=len(set(orientations)) == len(orientations),
     )
 
 

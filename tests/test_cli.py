@@ -89,6 +89,33 @@ def test_memory_error_exits_1(capsys, monkeypatch):
     assert err == "error: out of memory\n"
 
 
+def _run_capped(*argv: str) -> subprocess.CompletedProcess:
+    """`python -m ribbonry.cli` in a process whose address space is capped at 150 MB."""
+    resource = pytest.importorskip("resource")
+    cap = 150 << 20
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "ribbonry.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_running_out_of_memory_exits_1():
+    try:
+        probe = _run_capped("count", "--rect", "2x2", "--n", "2")
+    except subprocess.SubprocessError:
+        probe = None
+    if probe is None or probe.returncode != 0:
+        pytest.skip("the CLI does not start under a 150 MB address-space cap here")
+    # The sampler's completion table for 30x30 n=3 outgrows the cap.
+    result = _run_capped("sample", "--rect", "30x30", "--n", "3")
+    assert (result.returncode, result.stdout, result.stderr) == (1, "", "error: out of memory\n")
+
+
 def test_enumerate_lines_match_count(capsys):
     code, out, _ = run(capsys, "enumerate", "--rect", "2x2", "--n", "2")
     assert code == 0
@@ -292,6 +319,23 @@ def test_graph_json_output(capsys):
     assert len(payload["vertices"]) == 9
     assert all(edge["class"] == "free" for edge in payload["edges"])
     assert payload["tau"] == []
+
+
+@pytest.mark.parametrize(
+    "flags,grid,area,n",
+    [(("--rect", "3x3", "--n", "2"), "", 9, 2), (("--grid", "-", "--n", "3"), "#..\n###\n###", 7, 3)],
+    ids=["rectangle", "grid"],
+)
+def test_area_mismatch_answers(capsys, monkeypatch, flags, grid, area, n):
+    monkeypatch.setattr("sys.stdin", io.StringIO(grid))
+    assert run(capsys, "count", *flags) == (0, '{"count":"0","tiles":null,"entropy":null}\n', "")
+    monkeypatch.setattr("sys.stdin", io.StringIO(grid))
+    assert run(capsys, "enumerate", *flags) == (0, "", "")
+    monkeypatch.setattr("sys.stdin", io.StringIO(grid))
+    assert run(capsys, "sample", *flags) == (1, "", f"error: area {area} is not a multiple of {n}\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO(grid))
+    want = f"error: region of area {area} has no {n}-ribbon tiling\n"
+    assert run(capsys, "graph", *flags) == (1, "", want)
 
 
 def test_graph_untileable_fails(capsys, tmp_path):

@@ -18,6 +18,7 @@ from oracles import (
     tilings_oracle,
 )
 from ribbonry import (
+    BijectionReport,
     Cell,
     NotTileableError,
     Region,
@@ -25,6 +26,7 @@ from ribbonry import (
     build_graph,
     build_rectangle,
     build_stair,
+    count_admissible_orientations,
     count_minimal,
     count_tilings,
     count_variable,
@@ -35,9 +37,11 @@ from ribbonry import (
     parse_region,
     sample_tiling,
     tiling_probability,
+    verify_bijection,
 )
 from ribbonry import enumeration
 from ribbonry.enumeration import _Searcher
+from ribbonry.verify import bijection_battery
 
 ORACLE_BATTERY = [
     (build_rectangle(1, 4), 2),
@@ -95,8 +99,33 @@ def test_count_zero_cases():
     assert count_tilings(build_rectangle(2, 3), 4) == 0
     assert count_tilings(build_rectangle(2, 6), 4) == 0
     assert count_tilings(parse_region("#.\n.#"), 2) == 0
-    with pytest.raises(ValueError):
-        count_tilings(build_rectangle(2, 2), 0)
+    for region in (build_rectangle(2, 2), parse_region("##\n#.")):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="ribbon length must be positive"):
+                count_tilings(region, n)
+            with pytest.raises(ValueError, match="ribbon length must be positive"):
+                is_tileable(region, n)
+
+
+def test_searcher_over_no_lengths():
+    region = build_rectangle(2, 3)
+    for lengths in ([0], [-1], [2, 0]):
+        with pytest.raises(ValueError, match="lengths must be positive"):
+            _Searcher(region, lengths)
+    empty = _Searcher(region, ())
+    assert empty.placements == [[]] * region.area and empty.tiles == []
+    assert empty.sweep(1, lambda v: v, max) is None
+    assert empty.count() == 0
+    assert list(empty.walk()) == []
+    assert empty.completions() == {0: 0}
+
+
+def test_sweep_never_reaching_the_full_state_gives_none():
+    # DEAD_GRID has placements but no tiling.
+    searcher = _Searcher(parse_region(DEAD_GRID), [3])
+    assert any(searcher.placements)
+    assert searcher.sweep(1, lambda v: v, max) is None
+    assert searcher.count() == 0
 
 
 def test_enumerate_agrees_with_count():
@@ -130,12 +159,15 @@ def test_enumerated_roots_follow_minimal_cell_rule():
                 covered.update(tile.cells())
 
 
+# Area 42 with no 3-ribbon tiling, although its level profile allows one.
+DEAD_GRID = "\n".join([".....#...", "#########", "#######.#"] + ["######..."] * 4)
+
+
 def test_walk_expands_each_dead_state_once():
-    # Area 42, no 3-ribbon tiling: without the walk's record of dead states
-    # its first-tiling search entered these states 56,427 times.  The walk
-    # calls `iter` once per state it enters, to start on its placements.
-    grid = "\n".join([".....#...", "#########", "#######.#"] + ["######..."] * 4)
-    searcher = _Searcher(parse_region(grid), [3])
+    # Without the walk's record of dead states its first-tiling search
+    # entered DEAD_GRID's states 56,427 times.  The walk calls `iter` once
+    # per state it enters, to start on its placements.
+    searcher = _Searcher(parse_region(DEAD_GRID), [3])
     reachable = len(searcher.completions())
     entered = 0
 
@@ -515,24 +547,50 @@ def test_level_profile_agrees_with_the_rectangle_closed_form():
                     assert ruled_out == (not is_tileable(rect, n)), (rows, cols, n)
 
 
+def _assert_no_placement_tried(built: list) -> None:
+    """Each searcher is over no lengths, so its search has no placement to try."""
+    assert built
+    for searcher in built:
+        assert not searcher.lengths and not any(searcher.placements)
+
+
 def test_level_profile_answers_without_a_search(monkeypatch):
     # The bench's plus sign: its level histogram would need -1 tiles rooted
     # on each of its two highest levels.
     cross = parse_region("\n".join(["...######..."] * 3 + ["#" * 12] * 6 + ["...######..."] * 3))
     assert enumeration._root_levels(cross, 4) is None
     fresh_tables(monkeypatch)
-
-    def no_search(*args):
-        raise AssertionError("searched a region that the level profile rules out")
-
-    for search in ("sweep", "completions", "walk"):
-        monkeypatch.setattr(_Searcher, search, no_search)
+    built = _record_searchers(monkeypatch)
     assert count_tilings(cross, 4) == 0
     assert not is_tileable(cross, 4)
     assert list(enumerate_tilings(cross, 4)) == []
     for untileable in (lambda: sample_tiling(cross, 4, seed=0), lambda: build_graph(cross, 4)):
         with pytest.raises(NotTileableError, match="region of area 108 has no 4-ribbon tiling"):
             untileable()
+    assert len(built) == 5
+    _assert_no_placement_tried(built)
+
+
+# Areas that n does not divide: a rectangle and two regions that are not.
+AREA_MISMATCH = [
+    (build_rectangle(3, 3), 2),
+    (parse_region("##.\n###"), 2),
+    (parse_region("#..\n###\n###"), 3),
+]
+
+
+@pytest.mark.parametrize("region,n", AREA_MISMATCH, ids=["rectangle", "bent", "notched"])
+def test_area_mismatch_answers_without_a_search(monkeypatch, region, n):
+    fresh_tables(monkeypatch)
+    built = _record_searchers(monkeypatch)
+    assert count_tilings(region, n) == 0
+    assert not is_tileable(region, n)
+    assert list(enumerate_tilings(region, n)) == []
+    with pytest.raises(NotTileableError, match=f"^area {region.area} is not a multiple of {n}$"):
+        sample_tiling(region, n, seed=0)
+    with pytest.raises(NotTileableError, match=f"^region of area {region.area} has no {n}-ribbon tiling$"):
+        build_graph(region, n)
+    _assert_no_placement_tried(built)
 
 
 def _cell_orders(region):
@@ -638,6 +696,20 @@ def test_listing_and_sampling_search_in_level_order(monkeypatch):
     build_graph(region, 3)
     assert len(built) == 3
     assert all(s.order == region.sorted_cells for s in built)
+
+
+def test_verify_bijection_builds_one_searcher_per_case(monkeypatch):
+    battery = [(region, n) for _, region, n in bijection_battery()]
+    # Every battery case is a bijection: its report is (tilings, admissible orientations, True).
+    want = [
+        BijectionReport(count_tilings(region, n), count_admissible_orientations(build_graph(region, n)), True)
+        for region, n in battery
+    ]
+    built = _record_searchers(monkeypatch)
+    for (region, n), report in zip(battery, want):
+        built.clear()
+        assert verify_bijection(region, n) == report, (region, n)
+        assert [s.order for s in built] == [region.sorted_cells]
 
 
 def test_counting_builds_no_tiles(monkeypatch):
