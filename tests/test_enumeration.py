@@ -371,9 +371,10 @@ def test_untileable_region_raises_again_from_cache(monkeypatch):
 
 
 def test_table_cache_stays_within_budget(monkeypatch):
-    monkeypatch.setattr(enumeration, "_TABLE_BUDGET", 100)
+    monkeypatch.setattr(enumeration, "_TABLE_BUDGET", 160)
     cache = fresh_tables(monkeypatch)
-    # Table states: 3x3 n=3 11, 3x7 n=3 43, stair(10, 4) 28, 3x6 n=3 35, 4x8 n=4 292.
+    # Table states + cells: 3x3 n=3 11 + 9, 3x7 n=3 43 + 21, stair(10, 4) 28 + 40,
+    # 3x6 n=3 35 + 18, 4x8 n=4 292 + 32.
     small, mid = (build_rectangle(3, 3), 3), (build_rectangle(3, 7), 3)
     stair, other = (build_stair(10, 4), 4), (build_rectangle(3, 6), 3)
     steps = [
@@ -387,7 +388,28 @@ def test_table_cache_stays_within_budget(monkeypatch):
     for (region, n), kept in steps:
         sample_tiling(region, n, seed=0)
         assert list(cache.tables) == kept
-        assert cache.states == sum(len(table) for _, table in cache.tables.values()) <= 100
+        charges = [len(table) + region.area for (region, _), (_, table) in cache.tables.items()]
+        assert cache.charge == sum(charges) <= 160
+
+
+def test_table_cache_memory_stays_within_budget(monkeypatch):
+    # Every 2x(4j+2) rectangle is ruled out for n = 4, so its table holds
+    # one state; its region and searcher still grow with its area.
+    monkeypatch.setattr(enumeration, "_TABLE_BUDGET", 2000)
+    held = []
+    for count in (30, 60):
+        cache = fresh_tables(monkeypatch)
+        tracemalloc.start()
+        try:
+            for j in range(count):
+                with pytest.raises(NotTileableError):
+                    sample_tiling(build_rectangle(2, 4 * j + 2), 4, seed=0)
+            held.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert cache.charge <= 2000
+    # Four times the cells are drawn from; the kept cells stay within the budget.
+    assert held[1] < 1.5 * held[0], held
 
 
 def test_completion_tables_match_counts_of_what_is_left(monkeypatch):
@@ -637,6 +659,87 @@ def test_counts_survive_transposition(cells, n):
     assert count_tilings(Region.from_cells(cells), n) == count_tilings(Region.from_cells(flipped), n)
 
 
+def _transpose_closed(most=12, box=6):
+    """Up to `most` cells with x <= y in a k x k box, k <= `box`, and their mirrors.
+
+    The region equals its own transpose; holes and several pieces may come up.
+    """
+    return st.integers(1, box).flatmap(
+        lambda k: st.sets(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), min_size=1, max_size=most)
+    ).map(lambda cells: {(x, y) for a, b in cells for x, y in ((a, b), (b, a))})
+
+
+# At a level start the mirror of a state can have its first free cell later
+# in the level, so its value moves to a later layer: the domino (0, 0)-(1, 0)
+# leaves (0, 1) free, and its mirror (0, 0)-(0, 1) leaves (1, 0) free.
+PUSHED_ON = [{(x, y) for x in range(k) for y in range(k)} for k in (2, 3, 4)]
+# Levels 3 to 5 are missing between the two blocks.
+GAPPED = {(0, 0), (1, 0), (0, 1), (1, 1), (3, 3), (4, 3), (3, 4), (4, 4)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(_transpose_closed(), st.integers(1, 4))
+@example(PUSHED_ON[0], 2)
+@example(PUSHED_ON[1], 3)
+@example(PUSHED_ON[2], 2)
+@example({(0, 0), (2, 2)}, 2)  # a missing level; ruled out, so a searcher over no lengths
+@example(GAPPED, 2)
+def test_folded_counts_match_oracle(cells, n):
+    region = Region.from_cells(cells)
+    want = count_tilings_oracle(region_cells(region), (n,), {})
+    assert count_tilings(region, n) == want
+    column = _Searcher(region, [n], _cell_orders(region)["column"])
+    # Only an order that is (level, x) all along folds.
+    assert column.order == region.sorted_cells or not column.folds
+    assert column.count() == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(_transpose_closed(most=6, box=5))
+@example(PUSHED_ON[1])
+@example({(0, 0), (2, 2)})  # a missing level
+@example(GAPPED)
+def test_folded_variable_and_minimal_counts_match_oracle(cells):
+    region = Region.from_cells(cells)
+    sizes = tilings_by_size_oracle(region_cells(region), {})
+    assert count_variable(region) == sum(sizes.values())
+    assert count_minimal(region) == minimal_tilings_oracle(region_cells(region))
+
+
+def _states_swept(region, n):
+    """States the counting sweep expands for (region, n), in its counting order."""
+    searcher = enumeration._searcher_for(region, n, enumeration._counting_order(region, n))
+    swept = 0
+
+    def extend(value):
+        nonlocal swept
+        swept += 1
+        return value
+
+    assert searcher.sweep(1, extend, lambda a, b: a + b) == count_tilings(region, n)
+    return swept
+
+
+BAND = "\n".join("." * (11 - row) + "#" * 8 + "." * row for row in range(12))
+
+
+@pytest.mark.parametrize(
+    "region, n, states",
+    [
+        # Folded onto the transpose; (level, x) unfolded sweeps 613, 6,640, 47,114 and 4,088.
+        (build_rectangle(6, 6), 3, 378),
+        (build_rectangle(6, 6), 6, 3806),
+        (build_rectangle(8, 8), 4, 29402),
+        (build_aztec(8, 2, 0), 2, 2829),
+        # Not their own transpose: swept as before.
+        (parse_region(BAND), 4, 386),
+        (build_rectangle(4, 60), 4, 2868),  # in column order
+    ],
+)
+def test_states_swept(region, n, states):
+    assert _states_swept(region, n) == states
+
+
 # The bench's wide rectangles, as (rows, cols, n).
 WIDE_COUNTS = [(6, 12, 6), (6, 18, 6), (6, 24, 6), (6, 30, 6), (3, 90, 3), (4, 60, 4), (5, 30, 5)]
 
@@ -657,6 +760,10 @@ def test_counting_order_follows_the_long_side():
         (build_stair(40, 5), 5),
         (parse_region("###..\n#....\n....."), 3),  # an L: wider than tall, not a rectangle
     ]
+    # With n = 3 a rectangle one cell longer one way meets fewer states in
+    # (level, x) order: 6x7 952 against 1,039 by columns.
+    for rows, cols in [(5, 6), (6, 7), (8, 9), (9, 10)]:
+        level_order += [(build_rectangle(rows, cols), 3), (build_rectangle(cols, rows), 3)]
     for region, n in level_order:
         assert enumeration._counting_order(region, n) == region.sorted_cells, (region, n)
 
