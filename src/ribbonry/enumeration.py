@@ -41,6 +41,8 @@ key with the cells of each level in reverse; the sweep moves every value
 of that layer onto the lesser of the state and its mirror, or onto the
 mirror's own later layer when the mirror's first free cell comes later.
 A 12x12 square with n = 3 sweeps 769,579 states instead of 1,134,718.
+The plan of these folds (`_Searcher.folds`) is built on a searcher's first
+sweep, so a searcher that only lists or samples never builds it.
 
 The sampler's table (`_Searcher.completions`) comes from one post-order
 search from state 0 on an explicit stack.  It memoises the number of
@@ -114,6 +116,8 @@ class _Searcher:
     Cells are indexed in `order`, (level, x) unless one is given; any order
     in which every cell comes before its E and N neighbours is exact (see
     the module docstring).  Listing and sampling need (level, x) order.
+    Construction builds only the placement table: `tiles` is built when
+    listing or sampling first reads it, and `folds` on the first `sweep`.
     """
 
     def __init__(
@@ -125,16 +129,34 @@ class _Searcher:
             raise ValueError("lengths must be positive")
         self.max_len = max(self.lengths, default=0)
         self.order = region.sorted_cells if order is None else tuple(order)
-        self.index = {c: i for i, c in enumerate(self.order)}
         self.full = (1 << region.area) - 1
-        # A ribbon climbs one level per cell, so none rises past the top level.
-        self.top = max(region.level_histogram)
         self.moves: list[str] = []  # the moves of every placement that fits, root by root
-        self.placements = [self._placements_for(i) for i in range(region.area)]
-        self.folds = self._fold_plan()
+        self.placements: list[list[tuple[int, int]]] = []
+        index = {c: i for i, c in enumerate(self.order)}
+        # A ribbon climbs one level per cell, so none rises past the top level.
+        top = max(region.level_histogram)
+        for i, root in enumerate(self.order):
+            # Canonical order: depth first, a shape before its extensions and E before N.
+            longest = min(self.max_len, top - root.level + 1)
+            options: list[tuple[int, int]] = []
+            stack = [(root, "", 1 << i)] if longest >= min(self.lengths, default=1) else []
+            while stack:
+                at, moves, mask = stack.pop()
+                if len(moves) + 1 in self.lengths:
+                    options.append((mask, len(self.moves)))
+                    self.moves.append(moves)
+                if len(moves) + 1 == longest:
+                    continue
+                for mv, nxt in (("N", at.north()), ("E", at.east())):
+                    j = index.get(nxt)
+                    if j is not None:
+                        stack.append((nxt, moves + mv, mask | (1 << j)))
+            self.placements.append(options)
 
-    def _fold_plan(self) -> dict[int, tuple[str, Callable[[str], Any]]]:
-        """How `sweep` finds a state's transpose mirror, by level start.
+    @cached_property
+    def folds(self) -> dict[int, tuple[str, Callable[[str], Any]]]:
+        """How `sweep` finds a state's transpose mirror, by level start;
+        built on the first sweep.
 
         Only a searcher in (level, x) order over a region equal to its own
         transpose folds; any other gets no plan.  At the start i of level L
@@ -150,8 +172,7 @@ class _Searcher:
         region, order = self.region, self.order
         if self.max_len < 2 or order != region.sorted_cells:
             return {}
-        _, _, max_x, max_y = region.bounds
-        if max_x != max_y or any((y, x) not in region.cells for x, y in region.cells):
+        if any((y, x) not in region.cells for x, y in region.cells):
             return {}
         # (level, first cell, end) of every level present, in order.
         spans = []
@@ -174,30 +195,6 @@ class _Searcher:
                 ),
             )
         return plan
-
-    def _placements_for(self, root_index: int) -> list[tuple[int, int]]:
-        """Masks of the tiles rooted at cell `root_index` that fit the region.
-
-        Each tile's moves are appended to `moves`, and its mask comes with its
-        position there.  Order is canonical: depth first, a shape before its
-        extensions and E before N.
-        """
-        root = self.order[root_index]
-        longest = min(self.max_len, self.top - root.level + 1)
-        out: list[tuple[int, int]] = []
-        stack = [(root, "", 1 << root_index)] if longest >= min(self.lengths, default=1) else []
-        while stack:
-            at, moves, mask = stack.pop()
-            if len(moves) + 1 in self.lengths:
-                out.append((mask, len(self.moves)))
-                self.moves.append(moves)
-            if len(moves) + 1 == longest:
-                continue
-            for mv, nxt in (("N", at.north()), ("E", at.east())):
-                j = self.index.get(nxt)
-                if j is not None:
-                    stack.append((nxt, moves + mv, mask | (1 << j)))
-        return out
 
     @cached_property
     def tiles(self) -> list[Tile]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .enumeration import count_tilings, log2_big
 from .region import build_rectangle
@@ -73,25 +72,6 @@ def stair_entropy_limit(n: int) -> float:
     return math.log2(n + 1) - 1
 
 
-@lru_cache(maxsize=None)
-def _a_term(n: int) -> int:
-    if n == 0:
-        return 1
-    total = Fraction(0)
-    for i in range(1, n + 1):
-        total += (
-            Fraction(i * (n - i + 1), n + 2)
-            * math.comb(n - 1, i - 1)
-            * math.comb(n + 3, i + 1)
-            * _a_term(i - 1)
-            * _a_term(n - i)
-        )
-    half = total / 2
-    if half.denominator != 1:
-        raise ArithmeticError(f"a({n}) is not an integer: {half}")
-    return half.numerator
-
-
 def a_sequence(n: int) -> list[int]:
     """A115047 terms a_0..a_n; a_n counts n-ribbon tilings of n x 2n rectangles.
 
@@ -100,7 +80,18 @@ def a_sequence(n: int) -> list[int]:
     """
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
-    return [_a_term(i) for i in range(n + 1)]
+    terms = [1]
+    for m in range(1, n + 1):
+        # 2 * (m + 2) * a_m, so that every term of the sum is an integer.
+        total = sum(
+            i * (m - i + 1) * math.comb(m - 1, i - 1) * math.comb(m + 3, i + 1) * terms[i - 1] * terms[m - i]
+            for i in range(1, m + 1)
+        )
+        term, rest = divmod(total, 2 * (m + 2))
+        if rest:
+            raise ArithmeticError(f"a({m}) is not an integer: {Fraction(total, 2 * (m + 2))}")
+        terms.append(term)
+    return terms
 
 
 def a_entropy_diagnostic(n_max: int) -> list[tuple[int, float, float]]:
@@ -164,7 +155,6 @@ def domino_strip_entropy(height: int) -> float:
     return 2 * total / height
 
 
-@lru_cache(maxsize=None)
 def _fib(k: int) -> int:
     """Fibonacci with F_1 = F_2 = 1."""
     if k < 1:

@@ -3,7 +3,9 @@
 import sys
 import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import example, given, settings
@@ -431,6 +433,30 @@ def test_completion_tables_match_counts_of_what_is_left(monkeypatch):
     assert dead_ends > 0
 
 
+def test_concurrent_draws_match_single_thread_draws(monkeypatch):
+    regions = [(build_rectangle(3, 7), 3), (build_stair(10, 4), 4), (build_rectangle(10, 10), 2)]
+    # Four threads of 20 draws each; every thread draws from all three regions.
+    draws = [(regions[seed % 3], seed) for seed in range(80)]
+    fresh_tables(monkeypatch)
+    want = [sample_tiling(region, n, seed) for (region, n), seed in draws]
+    cache = fresh_tables(monkeypatch)
+
+    def draw(part):
+        return [sample_tiling(region, n, seed) for (region, n), seed in part]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the cache's updates too
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            parts = list(pool.map(draw, [draws[k::4] for k in range(4)], timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [parts[seed % 4][seed // 4] for seed in range(80)] == want
+    assert set(cache.tables) == set(regions)
+    charges = [enumeration._charge(key, entry) for key, entry in cache.tables.items()]
+    assert cache.charge == sum(charges) <= enumeration._TABLE_BUDGET
+
+
 def test_count_memory_does_not_grow_with_strip_length():
     peaks = []
     for cols in (60, 240):
@@ -833,3 +859,30 @@ def test_counting_builds_no_tiles(monkeypatch):
 
     monkeypatch.setattr(enumeration, "Tile", no_tile)
     assert [count() for count in counts] == want
+
+
+def test_only_sweeping_builds_the_fold_plan(monkeypatch):
+    fresh_tables(monkeypatch)
+    built = []  # every searcher whose fold plan is built, once per build
+    plan = _Searcher.folds.func
+
+    def recording_plan(self):
+        built.append(self)
+        return plan(self)
+
+    folds = cached_property(recording_plan)
+    folds.__set_name__(_Searcher, "folds")
+    monkeypatch.setattr(_Searcher, "folds", folds)
+    # Both are their own transpose, so a sweep over either folds.
+    for region, n in [(build_rectangle(6, 6), 3), (build_aztec(3, 2, 0), 2)]:
+        tilings = sum(1 for _ in enumerate_tilings(region, n))
+        sample_tiling(region, n, seed=0)
+        build_graph(region, n)
+        assert verify_bijection(region, n).tiling_count == tilings
+        assert built == [], (region, n)
+    assert count_tilings(build_rectangle(6, 6), 3) == 8914
+    assert len(built) == 1 and built[0].folds
+    built.clear()
+    # The searcher that counts states and the one count_tilings builds to check it.
+    assert _states_swept(build_rectangle(6, 6), 3) == 378
+    assert len(built) == 2 and built[0] is not built[1]
