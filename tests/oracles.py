@@ -6,6 +6,8 @@ frozensets, the tiling lister recurses with no memo and no record of dead
 ends, the orientation and coloring counters are exhaustive, the polynomial
 helpers work on coefficient lists, and the arc references orient free and
 forced tile pairs by two separate rules where the package uses one.
+Domino counts on simply connected regions also come from the Kasteleyn
+determinant, with no search at all.
 """
 
 from __future__ import annotations
@@ -93,6 +95,53 @@ def tilings_oracle(cells: frozenset[tuple[int, int]], n: int) -> list[tuple[Tile
 
 def region_cells(region) -> frozenset[tuple[int, int]]:
     return frozenset((c.x, c.y) for c in region)
+
+
+def kasteleyn_count(cells) -> int:
+    """Domino tilings of a simply connected region, as |det K| (Kasteleyn 1961).
+
+    Black cells have x + y even.  K[b][w] is 1 when w is b's east or west
+    neighbour and (-1)^x when it is b's north or south neighbour in column x.
+    Every bounded face of a simply connected region is a unit square, whose
+    two vertical edges lie in adjacent columns, so its signs multiply to -1
+    and every term of the determinant carries the same sign.  Around a hole
+    that need not hold, so the count may then be wrong.
+    """
+    cells = set(cells)
+    black = sorted(c for c in cells if (c[0] + c[1]) % 2 == 0)
+    white = sorted(cells.difference(black))
+    if len(black) != len(white):
+        return 0
+    position = {cell: j for j, cell in enumerate(white)}
+    matrix = []
+    for x, y in black:
+        row = [0] * len(white)
+        vertical = (-1) ** x
+        sides = ((x + 1, y), 1), ((x - 1, y), 1), ((x, y + 1), vertical), ((x, y - 1), vertical)
+        for cell, sign in sides:
+            if cell in position:
+                row[position[cell]] = sign
+        matrix.append(row)
+    return abs(_bareiss_det(matrix))
+
+
+def _bareiss_det(matrix: list[list[int]]) -> int:
+    """Determinant by Bareiss's fraction-free elimination, swapping rows for a pivot."""
+    size, sign, previous = len(matrix), 1, 1
+    for k in range(size):
+        pivot_row = next((i for i in range(k, size) if matrix[i][k]), None)
+        if pivot_row is None:
+            return 0
+        if pivot_row != k:
+            matrix[k], matrix[pivot_row] = matrix[pivot_row], matrix[k]
+            sign = -sign
+        pivot, top = matrix[k][k], matrix[k]
+        for i in range(k + 1, size):
+            row, lead = matrix[i], matrix[i][k]
+            for j in range(k + 1, size):
+                row[j] = (row[j] * pivot - lead * top[j]) // previous
+        previous = pivot
+    return sign * previous
 
 
 def _is_dag(vertices, arcs) -> bool:

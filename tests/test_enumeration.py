@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from oracles import (
     count_tilings_oracle,
     fib,
+    kasteleyn_count,
     minimal_tilings_oracle,
     region_cells,
     tilings_by_size_oracle,
@@ -518,6 +519,31 @@ def _holed_rectangles(most_gone=5, longest=6):
 
 
 @settings(max_examples=60, deadline=None)
+@given(
+    _holed_rectangles(5, longest=7)
+    .filter(bool)
+    .filter(lambda cells: Region.from_cells(cells).is_simply_connected)
+)
+def test_domino_counts_match_kasteleyn(cells):
+    assert count_tilings(Region.from_cells(cells), 2) == kasteleyn_count(cells)
+
+
+@pytest.mark.parametrize(
+    "region",
+    [
+        build_rectangle(2, 30),
+        # Equal to their own transpose, so the sweep folds them.
+        build_rectangle(12, 12),
+        build_rectangle(16, 16),
+        build_aztec(8, 2, 0),
+        build_aztec(12, 2, 0),
+    ],
+)
+def test_domino_counts_at_scale_match_kasteleyn(region):
+    assert count_tilings(region, 2) == kasteleyn_count(region_cells(region))
+
+
+@settings(max_examples=60, deadline=None)
 @given(_holed_rectangles(4, longest=5).filter(bool), st.integers(2, 3))
 @example({(x, y) for x in range(3) for y in range(3)} - {(1, 1)}, 2)  # a hole
 @example({(x, y) for x in range(5) for y in range(2)} - {(2, 0), (2, 1)}, 2)  # two pieces
@@ -760,18 +786,32 @@ BAND = "\n".join("." * (11 - row) + "#" * 8 + "." * row for row in range(12))
         # Not their own transpose: swept as before.
         (parse_region(BAND), 4, 386),
         (build_rectangle(4, 60), 4, 2868),  # in column order
+        # A near-square along its long side, the same states either way round.
+        (build_rectangle(9, 10), 3, 43683),
+        (build_rectangle(10, 9), 3, 43683),
     ],
 )
 def test_states_swept(region, n, states):
     assert _states_swept(region, n) == states
 
 
+@pytest.mark.parametrize(
+    "rows, cols, n", [(5, 6, 3), (6, 7, 3), (8, 9, 3), (3, 4, 3), (4, 6, 4), (6, 12, 6)]
+)
+def test_rectangle_and_transpose_sweep_the_same_states(rows, cols, n):
+    assert _states_swept(build_rectangle(rows, cols), n) == _states_swept(
+        build_rectangle(cols, rows), n
+    )
+
+
 # The bench's wide rectangles, as (rows, cols, n).
 WIDE_COUNTS = [(6, 12, 6), (6, 18, 6), (6, 24, 6), (6, 30, 6), (3, 90, 3), (4, 60, 4), (5, 30, 5)]
+# Near-squares take the same rule.
+NEAR_SQUARES = [(5, 6, 3), (6, 7, 3), (8, 9, 3), (9, 10, 3)]
 
 
 def test_counting_order_follows_the_long_side():
-    for rows, cols, n in WIDE_COUNTS:
+    for rows, cols, n in WIDE_COUNTS + NEAR_SQUARES:
         wide, tall = build_rectangle(rows, cols), build_rectangle(cols, rows)
         assert enumeration._counting_order(wide, n) == _cell_orders(wide)["column"]
         assert enumeration._counting_order(tall, n) == _cell_orders(tall)["row"]
@@ -786,10 +826,6 @@ def test_counting_order_follows_the_long_side():
         (build_stair(40, 5), 5),
         (parse_region("###..\n#....\n....."), 3),  # an L: wider than tall, not a rectangle
     ]
-    # With n = 3 a rectangle one cell longer one way meets fewer states in
-    # (level, x) order: 6x7 952 against 1,039 by columns.
-    for rows, cols in [(5, 6), (6, 7), (8, 9), (9, 10)]:
-        level_order += [(build_rectangle(rows, cols), 3), (build_rectangle(cols, rows), 3)]
     for region, n in level_order:
         assert enumeration._counting_order(region, n) == region.sorted_cells, (region, n)
 
