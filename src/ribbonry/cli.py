@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import __version__
-from .enumeration import NotTileableError, _searcher_for, count_tilings, log2_big, sample_tiling
+from .enumeration import NotTileableError, _draw, _searcher_for, count_tilings, log2_big
 from .region import Region, RegionParseError, Tiling, build_aztec, build_rectangle, build_stair, parse_region
 from .render import _letter_grids, tiling_to_ascii, tiling_to_svg
 from .sheffield import build_graph, to_dot
@@ -120,9 +120,10 @@ def cmd_count(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     """List every tiling, one write per tiling.
 
-    Each line is joined from output built once per placement, along the
-    walk's stack, and matches `Tiling.to_json` (or `tiling_to_ascii` and a
-    blank line) of the tiling `enumerate_tilings` yields in its place.
+    Each line is joined along the walk's stack from output built once per
+    placement: the searcher's `fragments` in JSON, `_letter_grids` in text.
+    It matches `Tiling.to_json` (or `tiling_to_ascii` and a blank line) of
+    the tiling `enumerate_tilings` yields in its place.
     """
     region, n = _resolve_region(args)
     searcher = _searcher_for(region, n)
@@ -131,19 +132,27 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         for grid in _letter_grids(region, searcher.tiles, searcher.walk()):
             write(grid + "\n\n")
     else:
-        fragments = [json.dumps(tile.to_json_dict(), separators=(",", ":")) for tile in searcher.tiles]
+        fragment = searcher.fragments.__getitem__
         for picks in searcher.walk():
-            write('{"tiles":[' + ",".join(map(fragments.__getitem__, picks)) + "]}\n")
+            write('{"tiles":[' + ",".join(map(fragment, picks)) + "]}\n")
     return 0
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    """Draw one tiling and write it in one write.
+
+    The line is joined from the drawn placements' output, as in
+    `cmd_enumerate`: the sampler's cached searcher holds their `fragments`
+    in JSON, and text goes through `_letter_grids`.  It matches
+    `Tiling.to_json` (or `tiling_to_ascii`) of `sample_tiling`'s draw.
+    """
     region, n = _resolve_region(args)
-    tiling = sample_tiling(region, n, args.seed)
+    searcher, picks = _draw(region, n, args.seed)
     if args.format == "text":
-        print(tiling_to_ascii(tiling))
+        tiles = list(map(searcher.tiles.__getitem__, picks))
+        sys.stdout.write(next(_letter_grids(region, tiles, [range(len(tiles))])) + "\n")
     else:
-        print(tiling.to_json())
+        sys.stdout.write('{"tiles":[' + ",".join(map(searcher.fragments.__getitem__, picks)) + "]}\n")
     return 0
 
 

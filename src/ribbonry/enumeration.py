@@ -49,11 +49,14 @@ search from state 0 on an explicit stack.  It memoises the number of
 completions of every state it reaches, a dead end as 0, so each state is
 searched once, and a state's count is known when its last child's is.
 
-Every search reads one placement table, built once by `_Searcher`:
-`moves` lists the steps of every placement that fits, and `placements[i]`
-pairs the mask of each one rooted at cell i with its position in `moves`.
-`tiles` turns them into `Tile`s when first read, which only listing and
-sampling do.  The enumeration
+Every search reads one placement table, built once by `_Searcher` from
+each cell's N and E neighbour indices, looked up once per cell: `moves`
+lists the steps of every placement that fits, and `placements[i]` pairs
+the mask of each one rooted at cell i with its position in `moves`.  Two
+per-placement outputs are built on first read, by position: `tiles`, the
+`Tile`s that `enumerate_tilings`, `sample_tiling` and text output read,
+and `fragments`, each placement's JSON, from which the CLI joins the
+lines of `enumerate` and `sample` without building a `Tile`.  The enumeration
 walk (`_Searcher.walk`) needs no counts and builds nothing up front.  It
 keeps its own explicit stack and searches each state once: it records the
 state's live edges, the placements that lead to a tiling, and replays them
@@ -61,8 +64,10 @@ on every later visit, so it never tests a placement twice nor enters a dead
 state.  The record costs one edge list per searched state, at most the
 states reachable from 0.  At each full tiling the walk yields its stack:
 the positions of the placements made, in root order.  `enumerate_tilings`
-turns them into a `Tiling`; the CLI's listing looks up output built once
-per placement instead.  Listing and sampling search in (level, x) order,
+turns them into a `Tiling`; the CLI's listing looks up their `fragments`
+instead.  A draw (`_descend`) returns positions the same way, which
+`sample_tiling` turns into a `Tiling` and the CLI's `sample` into one line
+of `fragments`.  Listing and sampling search in (level, x) order,
 which fixes the canonical listing order and each seed's tiling.  No search
 recurses, so region size, not search depth, bounds what can be counted or
 listed.
@@ -77,7 +82,10 @@ A completion table depends only on the region and n, not on the seed, so
 least recently used first out.  Each entry is charged its table states
 plus its region's cells, since the region and its searcher grow with the
 area, up to `_TABLE_BUDGET` in all; an entry charged more than the whole
-budget is not kept.  A draw reads the same complete
+budget is not kept.  An entry holds its searcher, so a region's
+`fragments` are built once while its entry is kept.  Threads that miss on
+the same (region, n) at once build its table once: the first builds it
+and the others wait for it.  A draw reads the same complete
 table whether or not it was cached, so each seed gives the same tiling.
 Counting and enumeration never use these tables, and a new process starts
 with none.
@@ -116,8 +124,9 @@ class _Searcher:
     Cells are indexed in `order`, (level, x) unless one is given; any order
     in which every cell comes before its E and N neighbours is exact (see
     the module docstring).  Listing and sampling need (level, x) order.
-    Construction builds only the placement table: `tiles` is built when
-    listing or sampling first reads it, and `folds` on the first `sweep`.
+    Construction builds only the placement table: `tiles` and `fragments`
+    are built when listing or sampling first reads them, and `folds` on the
+    first `sweep`.
     """
 
     def __init__(
@@ -133,13 +142,19 @@ class _Searcher:
         self.moves: list[str] = []  # the moves of every placement that fits, root by root
         self.placements: list[list[tuple[int, int]]] = []
         index = {c: i for i, c in enumerate(self.order)}
+        # Each cell's N and E neighbours, as indices in the order or None, pushed
+        # N first so that E pops first.
+        steps = [
+            (("N", index.get(Cell(x, y + 1))), ("E", index.get(Cell(x + 1, y)))) for x, y in self.order
+        ]
         # A ribbon climbs one level per cell, so none rises past the top level.
         top = max(region.level_histogram)
-        for i, root in enumerate(self.order):
+        shortest = min(self.lengths, default=1)
+        for i, (x, y) in enumerate(self.order):
             # Canonical order: depth first, a shape before its extensions and E before N.
-            longest = min(self.max_len, top - root.level + 1)
+            longest = min(self.max_len, top - x - y + 1)
             options: list[tuple[int, int]] = []
-            stack = [(root, "", 1 << i)] if longest >= min(self.lengths, default=1) else []
+            stack = [(i, "", 1 << i)] if longest >= shortest else []
             while stack:
                 at, moves, mask = stack.pop()
                 if len(moves) + 1 in self.lengths:
@@ -147,10 +162,9 @@ class _Searcher:
                     self.moves.append(moves)
                 if len(moves) + 1 == longest:
                     continue
-                for mv, nxt in (("N", at.north()), ("E", at.east())):
-                    j = index.get(nxt)
+                for mv, j in steps[at]:
                     if j is not None:
-                        stack.append((nxt, moves + mv, mask | (1 << j)))
+                        stack.append((j, moves + mv, mask | (1 << j)))
             self.placements.append(options)
 
     @cached_property
@@ -200,7 +214,8 @@ class _Searcher:
     def tiles(self) -> list[Tile]:
         """Every placement as a `Tile`, by position; built on first use.
 
-        Only listing and sampling read tiles, so counting never builds them.
+        Only `enumerate_tilings`, `sample_tiling` and text output read
+        tiles, so counting and JSON output never build them.
         """
         shapes = {moves: RibbonShape(moves) for moves in set(self.moves)}
         return [
@@ -209,10 +224,20 @@ class _Searcher:
             for _, position in options
         ]
 
-    def options(self, covered: int) -> list[tuple[int, int]]:
-        """The placements rooted at the minimal free cell of `covered`."""
-        free = self.full ^ covered
-        return self.placements[(free & -free).bit_length() - 1]
+    @cached_property
+    def fragments(self) -> list[str]:
+        """Every placement's JSON, by position; built on first use.
+
+        Each equals `json.dumps(tile.to_json_dict(), separators=(",", ":"))`
+        of the placement's `Tile`, without building the tile: a root is a
+        pair of integers, and moves are letters E and N, which need no
+        escaping.  The CLI joins a tiling's line from these.
+        """
+        return [
+            f'{{"root":[{x},{y}],"moves":"{self.moves[position]}"}}'
+            for (x, y), options in zip(self.order, self.placements)
+            for _, position in options
+        ]
 
     def sweep(self, start: _V, extend: Callable[[_V], _V], merge: Callable[[_V, _V], _V]) -> _V | None:
         """The value carried from state 0 to the full state, or None if it is never reached.
@@ -383,32 +408,65 @@ class _Searcher:
 _Table = tuple[_Searcher, dict[int, int]]
 
 
+class _Build:
+    """A cache entry being built: `done` is set once `entry` holds it, or
+    with `entry` still None if the build raised."""
+
+    def __init__(self) -> None:
+        self.done = threading.Event()
+        self.entry: _Table | None = None
+
+
 class _TableCache:
-    """Searchers and completion tables of recently sampled (region, n), least recent first."""
+    """Searchers and completion tables of recently sampled (region, n), least recent first.
+
+    An entry holds its searcher, so what the searcher builds on first use,
+    such as its `fragments`, is built once per kept entry.
+    """
 
     def __init__(self) -> None:
         self.tables: OrderedDict[tuple[Region, int], _Table] = OrderedDict()
         self.charge = 0  # table states plus region cells, over all kept entries
+        self._building: dict[tuple[Region, int], _Build] = {}  # misses being built
         self._lock = threading.Lock()  # sample_tiling may run on several threads at once
 
     def get(self, region: Region, n: int) -> _Table:
-        """The searcher for (region, n) and its `completions` table."""
+        """The searcher for (region, n) and its `completions` table.
+
+        A miss builds the entry outside the lock.  A miss on a key that
+        another thread is already building waits for that build and takes
+        its entry, kept or not, so each table is built once; if that build
+        raised, the waiter tries again.  A hit, or a miss on another key,
+        never waits.
+        """
         key = (region, n)
-        with self._lock:
-            entry = self.tables.get(key)
-            if entry is not None:
-                self.tables.move_to_end(key)
-                return entry
-        searcher = _searcher_for(region, n)
-        table = searcher.completions()
-        entry = (searcher, table)
-        charge = _charge(key, entry)
-        with self._lock:
-            if charge <= _TABLE_BUDGET and key not in self.tables:
-                self.tables[key] = entry
-                self.charge += charge
-                while self.charge > _TABLE_BUDGET:
-                    self.charge -= _charge(*self.tables.popitem(last=False))
+        while True:
+            with self._lock:
+                entry = self.tables.get(key)
+                if entry is not None:
+                    self.tables.move_to_end(key)
+                    return entry
+                build = self._building.get(key)
+                if build is None:
+                    build = self._building[key] = _Build()
+                    break
+            build.done.wait()
+            if build.entry is not None:
+                return build.entry
+        try:
+            searcher = _searcher_for(region, n)
+            build.entry = entry = (searcher, searcher.completions())
+            charge = _charge(key, entry)
+            with self._lock:
+                if charge <= _TABLE_BUDGET:
+                    self.tables[key] = entry
+                    self.charge += charge
+                    while self.charge > _TABLE_BUDGET:
+                        self.charge -= _charge(*self.tables.popitem(last=False))
+        finally:
+            with self._lock:
+                del self._building[key]
+            build.done.set()
         return entry
 
 
@@ -516,35 +574,53 @@ def sample_tiling(region: Region, n: int, seed: int) -> Tiling:
     The completion counts are kept for later calls in the same process (see
     the module docstring), so repeated draws from one region count it once.
     """
+    searcher, picks = _draw(region, n, seed)
+    return Tiling(region, tuple(map(searcher.tiles.__getitem__, picks)))
+
+
+def _draw(region: Region, n: int, seed: int) -> tuple[_Searcher, list[int]]:
+    """The searcher `sample_tiling` draws from and the positions, in its
+    `tiles` and `fragments`, of the placements the seed draws, in root order.
+
+    The CLI writes a draw from these positions without building a `Tiling`.
+    """
     if n < 1:
         raise ValueError(f"ribbon length must be positive, got {n}")
     if region.area % n:
         raise NotTileableError(f"area {region.area} is not a multiple of {n}")
     searcher, table = _tables.get(region, n)
-    total = table[0]
-    if total == 0:
+    if table[0] == 0:
         raise NotTileableError(f"region of area {region.area} has no {n}-ribbon tiling")
-    full = searcher.full
-    rng = random.Random(seed)
-    covered = 0
-    tiles: list[Tile] = []
-    remaining = total
-    while covered != full:
-        pick = rng.randrange(remaining)
-        for mask, position in searcher.options(covered):
+    return searcher, _descend(searcher, table, random.Random(seed).randrange)
+
+
+def _descend(searcher: _Searcher, table: dict[int, int], choose: Callable[[int], int]) -> list[int]:
+    """The positions of the placements of one tiling, in root order.
+
+    From state 0, each step calls `choose(remaining)` once, for the number
+    of completions left, and takes the placement at the minimal free cell
+    whose completions hold the chosen index, walking them in table order.
+    `table` must be the searcher's `completions`, with a tiling from 0.
+    """
+    full, placements = searcher.full, searcher.placements
+    picks: list[int] = []
+    covered, free = 0, full
+    remaining = table[0]
+    while free:
+        index = choose(remaining)
+        for mask, position in placements[(free & -free).bit_length() - 1]:
             if mask & covered:
                 continue
             child = covered | mask
             weight = 1 if child == full else table[child]
-            if pick < weight:
-                tiles.append(searcher.tiles[position])
-                covered = child
-                remaining = weight
+            if index < weight:
+                picks.append(position)
+                covered, free, remaining = child, free ^ mask, weight
                 break
-            pick -= weight
+            index -= weight
         else:
             raise AssertionError("completion counts disagree with branch weights")
-    return Tiling(region, tuple(tiles))
+    return picks
 
 
 def tiling_probability(region: Region, n: int, tiling: Tiling) -> Fraction:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, product, repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 EAST = "E"
@@ -104,13 +106,20 @@ class Tile:
         return {"root": [self.root.x, self.root.y], "moves": self.shape.moves}
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "Tile":
+    def from_json_dict(cls, data: dict, shapes: dict[str, RibbonShape] | None = None) -> "Tile":
+        """The tile `data` describes; `shapes`, when given, holds the shape made
+        for each moves string so far, so tiles of one shape share it."""
         _reject_unknown_keys(data, {"root", "moves"})
         x, y = data["root"]
         moves = data["moves"]
         if type(x) is not int or type(y) is not int or not isinstance(moves, str):
             raise TypeError(f"tile needs an integer root and string moves, got {data!r}")
-        return cls(Cell(x, y), RibbonShape(moves))
+        if shapes is None:
+            return cls(Cell(x, y), RibbonShape(moves))
+        shape = shapes.get(moves)
+        if shape is None:
+            shape = shapes[moves] = RibbonShape(moves)
+        return cls(Cell(x, y), shape)
 
 
 def _reject_unknown_keys(data: dict, allowed: set[str]) -> None:
@@ -135,8 +144,8 @@ class Region:
     def __post_init__(self) -> None:
         if not self.cells:
             raise ValueError("region must contain at least one cell")
-        dx = min(c.x for c in self.cells)
-        dy = min(c.y for c in self.cells)
+        dx = min(self.cells).x  # a Cell sorts by (x, y)
+        dy = min(map(itemgetter(1), self.cells))
         if dx or dy:
             shifted = frozenset(Cell(c.x - dx, c.y - dy) for c in self.cells)
             object.__setattr__(self, "cells", shifted)
@@ -240,11 +249,17 @@ def parse_region(text: str) -> Region:
     return Region.from_cells(cells)
 
 
+def _cells(pairs: Iterable[tuple[int, int]]) -> frozenset[Cell]:
+    """The cells at integer pairs, each made as `Cell(x, y)` makes it, by
+    `tuple.__new__`, without a Python-level call per cell."""
+    return frozenset(map(tuple.__new__, repeat(Cell), pairs))
+
+
 def build_rectangle(rows: int, cols: int) -> Region:
     """The rows x cols rectangle with lower-left corner at the origin."""
     if rows < 1 or cols < 1:
         raise ValueError(f"rectangle sides must be positive, got {rows}x{cols}")
-    return Region.from_cells((x, y) for x in range(cols) for y in range(rows))
+    return Region(_cells(product(range(cols), range(rows))))
 
 
 def build_aztec(size: int, n: int, k: int = 0) -> Region:
@@ -265,11 +280,11 @@ def build_aztec(size: int, n: int, k: int = 0) -> Region:
     bottoms[size] = k
     for x in range(size, 2 * size - 1):
         bottoms[x + 1] = bottoms[x] + (n - 1)
-    cells = []
+    columns = []
     for x in range(2 * size):
         height = n * min(x + 1, 2 * size - x)
-        cells.extend((x, y) for y in range(bottoms[x], bottoms[x] + height))
-    return Region.from_cells(cells)
+        columns.append(zip(repeat(x, height), range(bottoms[x], bottoms[x] + height)))
+    return Region(_cells(chain.from_iterable(columns)))
 
 
 def build_stair(rows: int, row_length: int) -> Region:
@@ -279,7 +294,7 @@ def build_stair(rows: int, row_length: int) -> Region:
     """
     if rows < 1 or row_length < 1:
         raise ValueError(f"stair parameters must be positive, got {rows}, {row_length}")
-    return Region.from_cells((r + j, r) for r in range(rows) for j in range(row_length))
+    return Region(_cells(chain.from_iterable(zip(range(r, r + row_length), repeat(r)) for r in range(rows))))
 
 
 @dataclass(frozen=True)
@@ -315,14 +330,17 @@ class Tiling:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Tiling":
         _reject_unknown_keys(data, {"tiles"})
-        tiles = [Tile.from_json_dict(t) for t in data["tiles"]]
+        shapes: dict[str, RibbonShape] = {}
+        tiles = [Tile.from_json_dict(t, shapes) for t in data["tiles"]]
         if not tiles:
             raise ValueError("tiling has no tiles")
         cells = [cell for tile in tiles for cell in tile.cells()]
-        dx = min(c.x for c in cells)
-        dy = min(c.y for c in cells)
-        tiles = [Tile(Cell(t.root.x - dx, t.root.y - dy), t.shape) for t in tiles]
-        region = Region.from_cells((c.x - dx, c.y - dy) for c in cells)
+        dx = min(cells).x  # a Cell sorts by (x, y)
+        dy = min(map(itemgetter(1), cells))
+        if dx or dy:
+            tiles = [Tile(Cell(t.root.x - dx, t.root.y - dy), t.shape) for t in tiles]
+        # The region shifts its cells by the same minima.
+        region = Region(frozenset(cells))
         tiling = cls(region, tuple(sorted(tiles, key=lambda t: (t.root.level, t.root.x))))
         tiling.validate()
         return tiling

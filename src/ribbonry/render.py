@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import colorsys
 import string
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .region import Cell, Region, Tile, Tiling
 
@@ -30,7 +30,7 @@ def tiling_to_ascii(tiling: Tiling) -> str:
     return "\n".join(rows)
 
 
-def _letter_grids(region: Region, tiles: list[Tile], tilings: Iterable[list[int]]) -> Iterator[str]:
+def _letter_grids(region: Region, tiles: list[Tile], tilings: Iterable[Sequence[int]]) -> Iterator[str]:
     """`tiling_to_ascii` of each tiling in `tilings`, given as positions in `tiles`.
 
     One grid is rewritten for every tiling: the tile at depth d writes

@@ -19,7 +19,18 @@ from hypothesis import strategies as st
 
 from closed_pipe import ClosedPipe
 from oracles import fib
-from ribbonry import Tiling, build_rectangle, count_tilings, enumerate_tilings, parse_region, tiling_to_ascii
+from ribbonry import (
+    NotTileableError,
+    Region,
+    Tiling,
+    build_rectangle,
+    count_tilings,
+    enumerate_tilings,
+    parse_region,
+    sample_tiling,
+    tiling_to_ascii,
+)
+from ribbonry import enumeration
 from ribbonry.cli import build_parser, main
 
 
@@ -217,6 +228,63 @@ def test_sample_deterministic(capsys):
     assert len(tiling.tiles) == 7
     _, other, _ = run(capsys, "sample", "--stair", "M=7,n=3", "--seed", "2")
     assert other != first
+
+
+def _main_on(argv: list[str], stdin: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of `main(argv)` reading `stdin`."""
+    out, err, saved = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def _holed_region(draw) -> Region:
+    """A rectangle of up to 6 by 6 cells with up to 5 of them taken out."""
+    cols, rows = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = {(x, y) for x in range(cols) for y in range(rows)}
+    gone = draw(st.sets(st.sampled_from(sorted(cells)), max_size=min(5, len(cells) - 1)))
+    return Region.from_cells(cells - gone)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_holed_region(), st.integers(1, 4), st.lists(st.integers(-10**6, 10**9), min_size=1, max_size=6))
+def test_sample_writes_what_the_library_draws(region, n, seeds):
+    grid = region.to_text()
+    for seed in seeds:
+        try:
+            tiling = sample_tiling(region, n, seed)
+        except NotTileableError as exc:
+            for fmt in ("json", "text"):
+                argv = ["sample", "--grid", "-", "--n", str(n), "--seed", str(seed), "--format", fmt]
+                assert _main_on(argv, grid) == (1, "", f"error: {exc}\n")
+            continue
+        for fmt, want in (("json", tiling.to_json()), ("text", tiling_to_ascii(tiling))):
+            argv = ["sample", "--grid", "-", "--n", str(n), "--seed", str(seed), "--format", fmt]
+            assert _main_on(argv, grid) == (0, want + "\n", ""), (argv, grid)
+
+
+def test_json_draws_and_listings_build_no_tiles(capsys, monkeypatch):
+    draw = ("sample", "--rect", "4x8", "--n", "4", "--seed", "11")
+    listing = ("enumerate", "--grid", "-", "--n", "2")
+    want = [
+        sample_tiling(build_rectangle(4, 8), 4, 11).to_json() + "\n",
+        reference_listing(enumerate_tilings(parse_region(GAPPED_GRID), 2), "json"),
+    ]
+    # A fresh cache, so the draw's searcher has built no tiles yet.
+    monkeypatch.setattr(enumeration, "_tables", enumeration._TableCache())
+
+    def no_tile(*args):
+        raise AssertionError("built a Tile or a Tiling for JSON output")
+
+    monkeypatch.setattr(enumeration, "Tile", no_tile)
+    monkeypatch.setattr(enumeration, "Tiling", no_tile)
+    monkeypatch.setattr("sys.stdin", io.StringIO(GAPPED_GRID))
+    assert [run(capsys, *draw), run(capsys, *listing)] == [(0, out, "") for out in want]
 
 
 def test_parser_reuse_keeps_calls_apart(capsys):

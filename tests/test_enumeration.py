@@ -1,5 +1,7 @@
 """Counting, enumeration, and sampling against an independent oracle."""
 
+import itertools
+import json
 import sys
 import tracemalloc
 from collections import Counter
@@ -17,6 +19,7 @@ from oracles import (
     kasteleyn_count,
     minimal_tilings_oracle,
     region_cells,
+    ribbon_cells,
     tilings_by_size_oracle,
     tilings_oracle,
 )
@@ -441,6 +444,14 @@ def test_concurrent_draws_match_single_thread_draws(monkeypatch):
     fresh_tables(monkeypatch)
     want = [sample_tiling(region, n, seed) for (region, n), seed in draws]
     cache = fresh_tables(monkeypatch)
+    built = Counter()  # completion tables built, by region
+    completions = _Searcher.completions
+
+    def counted_completions(self):
+        built[self.region] += 1
+        return completions(self)
+
+    monkeypatch.setattr(_Searcher, "completions", counted_completions)
 
     def draw(part):
         return [sample_tiling(region, n, seed) for (region, n), seed in part]
@@ -453,6 +464,8 @@ def test_concurrent_draws_match_single_thread_draws(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert [parts[seed % 4][seed // 4] for seed in range(80)] == want
+    # A thread that misses on a table another is building waits for it.
+    assert built == Counter(region for region, _ in regions)
     assert set(cache.tables) == set(regions)
     charges = [enumeration._charge(key, entry) for key, entry in cache.tables.items()]
     assert cache.charge == sum(charges) <= enumeration._TABLE_BUDGET
@@ -565,6 +578,45 @@ def test_completion_table_holds_every_reachable_state(cells, n):
     for state, completions in table.items():
         left = [cell for i, cell in enumerate(searcher.order) if not state >> i & 1]
         assert completions == count_tilings(Region.from_cells(left), n), state
+
+
+_CELL_ORDERS = {
+    "level": lambda region: region.sorted_cells,
+    "column": lambda region: sorted(region.cells),
+    "row": lambda region: sorted(region.cells, key=lambda c: (c.y, c.x)),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    _holed_rectangles().filter(bool),
+    st.sampled_from([[1], [2], [3], [4], [2, 3], [1, 2, 3, 4]]),
+    st.sampled_from(sorted(_CELL_ORDERS)),
+)
+@example({(x, y) for x in range(3) for y in range(3)} - {(1, 1)}, [2], "level")  # a hole
+def test_placement_table_matches_oracle(cells, lengths, order):
+    region = Region.from_cells(cells)
+    searcher = _Searcher(region, lengths, _CELL_ORDERS[order](region))
+    index = {cell: i for i, cell in enumerate(searcher.order)}
+    # Every E/N word of those lengths that fits, at each root in turn; a
+    # string sort puts E before N and a word before its extensions.
+    moves, placements = [], []
+    for root in searcher.order:
+        words = sorted(
+            "".join(word)
+            for length in lengths
+            for word in itertools.product("EN", repeat=length - 1)
+            if all(cell in index for cell in ribbon_cells(root, word))
+        )
+        options = []
+        for word in words:
+            options.append((sum(1 << index[cell] for cell in ribbon_cells(root, word)), len(moves)))
+            moves.append(word)
+        placements.append(options)
+    assert searcher.moves == moves
+    assert searcher.placements == placements
+    # The JSON the CLI writes per placement, byte for byte.
+    assert searcher.fragments == [json.dumps(t.to_json_dict(), separators=(",", ":")) for t in searcher.tiles]
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,7 +1,7 @@
 """Cells, shapes, tiles, regions, builders, and tiling validation."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ribbonry import (
@@ -255,3 +255,44 @@ def test_region_normalization_property(cells):
     assert (min_x, min_y) == (0, 0)
     assert region.area == len(cells)
     assert parse_region(region.to_text()).cells == region.cells
+
+
+def _aztec_cells(size, n, k):
+    """AD(size, n, k) column by column: left-half bottoms fall one per column
+    to 0, the right half starts at k and climbs n - 1 per column."""
+    for x in range(2 * size):
+        bottom = size - 1 - x if x < size else k + (x - size) * (n - 1)
+        for y in range(bottom, bottom + n * min(x + 1, 2 * size - x)):
+            yield x, y
+
+
+def _assert_built(region, cells):
+    assert region == Region.from_cells(cells)
+    assert region.cells == Region.from_cells(region.cells).cells
+    assert all(type(c) is Cell and type(c.x) is int and type(c.y) is int for c in region.cells)
+
+
+@given(st.integers(1, 9), st.integers(1, 9))
+def test_builders_equal_regions_from_their_cells(a, b):
+    _assert_built(build_rectangle(a, b), [(x, y) for x in range(b) for y in range(a)])
+    _assert_built(build_stair(a, b), [(r + j, r) for r in range(a) for j in range(b)])
+    size, n = min(a, 5), min(b, 6) + 1
+    for k in range(n - 1):
+        _assert_built(build_aztec(size, n, k), list(_aztec_cells(size, n, k)))
+
+
+@given(
+    st.sets(st.tuples(st.integers(-8, 8), st.integers(-8, 8)), min_size=1, max_size=20),
+    st.integers(-20, 20),
+    st.integers(-20, 20),
+)
+@example({(3, -2), (-1, 4)}, 0, 0)  # the least x and the least y lie in different cells
+def test_shifted_and_negative_cells_normalise(cells, dx, dy):
+    region = Region.from_cells(cells)
+    for moved in (
+        Region.from_cells((x + dx, y + dy) for x, y in cells),
+        Region(frozenset(Cell(x + dx, y + dy) for x, y in cells)),
+    ):
+        assert moved == region
+        assert moved.bounds[:2] == (0, 0)
+        assert all(type(c) is Cell for c in moved.cells)
