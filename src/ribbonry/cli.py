@@ -2,6 +2,13 @@
 
 Exit codes: 0 success (a count of zero is success), 1 domain failure such as
 sampling an untileable region or running out of memory, 2 usage error.
+
+`main` hands the words after a command name straight to that command's own
+parser, the one `build_parser` makes for it, and reports any word it leaves
+over through the whole parser, as the whole parser would; an argv that does
+not start with a command name goes through the whole parser.  Either way
+the outcome, usage messages and `--help`/`--version` output included, is
+the same as `build_parser().parse_args(argv)`.
 """
 
 from __future__ import annotations
@@ -220,6 +227,12 @@ def _add_region_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the whole `ribbonry` command line."""
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """A new whole parser and its commands' own parsers, by command name."""
     parser = argparse.ArgumentParser(
         prog="ribbonry",
         description="Exact counting, enumeration, and uniform sampling of ribbon tilings.",
@@ -259,17 +272,37 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--format", choices=("json", "text"), default="json")
     verify.set_defaults(func=cmd_verify)
 
-    return parser
+    return parser, sub.choices
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser `main` reuses, built on first use rather than at import."""
-    return build_parser()
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parsers `main` reuses, built on first use rather than at import."""
+    return _build_parsers()
+
+
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """What `build_parser().parse_args(argv)` returns, or its usage error.
+
+    The whole parser would hand everything after the command name to the
+    command's parser and then fail on what that leaves over; doing so
+    directly skips the whole parser's own pass over the words.
+    """
+    parser, commands = _parsers()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     try:
         return args.func(args)
     except UsageError as exc:

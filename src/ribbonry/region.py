@@ -6,11 +6,19 @@ are level sets.  An n-ribbon is a connected strip of n cells in which each
 cell after the first sits directly east or directly north of its
 predecessor; it therefore meets n consecutive levels, one cell per level,
 and its unique minimal-level cell is called the root.
+
+A `Region` never changes once built.  So `build_rectangle`, `build_aztec`
+and `build_stair` return the region still alive from an earlier call with
+the same arguments, found through weak references that keep no region
+alive by themselves: while the sampler's table cache holds a region, a
+repeated spec gets that same object and builds nothing.
 """
 
 from __future__ import annotations
 
 import json
+import types
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product, repeat
@@ -154,6 +162,10 @@ class Region:
     def from_cells(cls, cells: Iterable[tuple[int, int]]) -> "Region":
         return cls(frozenset(Cell(int(x), int(y)) for x, y in cells))
 
+    def __reduce__(self) -> tuple:
+        """Pickle and copy the cells alone: the cached read-only mappings cannot be."""
+        return (Region, (self.cells,))
+
     @cached_property
     def area(self) -> int:
         return len(self.cells)
@@ -166,11 +178,12 @@ class Region:
         return (min(xs), min(ys), max(xs), max(ys))
 
     @cached_property
-    def level_histogram(self) -> dict[int, int]:
+    def level_histogram(self) -> types.MappingProxyType[int, int]:
+        """Cells per level, by ascending level, read-only since a region is shared."""
         hist: dict[int, int] = {}
         for c in self.cells:
             hist[c.level] = hist.get(c.level, 0) + 1
-        return dict(sorted(hist.items()))
+        return types.MappingProxyType(dict(sorted(hist.items())))
 
     @cached_property
     def sorted_cells(self) -> tuple[Cell, ...]:
@@ -255,11 +268,19 @@ def _cells(pairs: Iterable[tuple[int, int]]) -> frozenset[Cell]:
     return frozenset(map(tuple.__new__, repeat(Cell), pairs))
 
 
+#: The builders' regions still alive, by builder name and arguments.
+_built: weakref.WeakValueDictionary[tuple, Region] = weakref.WeakValueDictionary()
+
+
 def build_rectangle(rows: int, cols: int) -> Region:
     """The rows x cols rectangle with lower-left corner at the origin."""
     if rows < 1 or cols < 1:
         raise ValueError(f"rectangle sides must be positive, got {rows}x{cols}")
-    return Region(_cells(product(range(cols), range(rows))))
+    key = ("rect", rows, cols)
+    region = _built.get(key)
+    if region is None:
+        region = _built[key] = Region(_cells(product(range(cols), range(rows))))
+    return region
 
 
 def build_aztec(size: int, n: int, k: int = 0) -> Region:
@@ -276,6 +297,10 @@ def build_aztec(size: int, n: int, k: int = 0) -> Region:
         raise ValueError(f"ribbon length must be at least 2, got {n}")
     if not 0 <= k <= n - 2:
         raise ValueError(f"offset must be in [0, {n - 2}], got {k}")
+    key = ("aztec", size, n, k)
+    region = _built.get(key)
+    if region is not None:
+        return region
     bottoms: dict[int, int] = {x: size - 1 - x for x in range(size)}
     bottoms[size] = k
     for x in range(size, 2 * size - 1):
@@ -284,7 +309,8 @@ def build_aztec(size: int, n: int, k: int = 0) -> Region:
     for x in range(2 * size):
         height = n * min(x + 1, 2 * size - x)
         columns.append(zip(repeat(x, height), range(bottoms[x], bottoms[x] + height)))
-    return Region(_cells(chain.from_iterable(columns)))
+    region = _built[key] = Region(_cells(chain.from_iterable(columns)))
+    return region
 
 
 def build_stair(rows: int, row_length: int) -> Region:
@@ -294,7 +320,12 @@ def build_stair(rows: int, row_length: int) -> Region:
     """
     if rows < 1 or row_length < 1:
         raise ValueError(f"stair parameters must be positive, got {rows}, {row_length}")
-    return Region(_cells(chain.from_iterable(zip(range(r, r + row_length), repeat(r)) for r in range(rows))))
+    key = ("stair", rows, row_length)
+    region = _built.get(key)
+    if region is None:
+        pairs = chain.from_iterable(zip(range(r, r + row_length), repeat(r)) for r in range(rows))
+        region = _built[key] = Region(_cells(pairs))
+    return region
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """End-to-end command-line behavior: outputs, schemas, determinism, exit codes."""
 
+import gc
 import io
 import json
 import os
 import shlex
 import subprocess
 import sys
+import weakref
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
@@ -30,8 +32,8 @@ from ribbonry import (
     sample_tiling,
     tiling_to_ascii,
 )
-from ribbonry import enumeration
-from ribbonry.cli import build_parser, main
+from ribbonry import cli, enumeration, region
+from ribbonry.cli import UsageError, build_parser, main
 
 
 def run(capsys, *argv):
@@ -230,13 +232,17 @@ def test_sample_deterministic(capsys):
     assert other != first
 
 
-def _main_on(argv: list[str], stdin: str) -> tuple[int, str, str]:
-    """Exit code, stdout and stderr of `main(argv)` reading `stdin`."""
+def _main_on(argv: list[str], stdin: str, entry=main) -> tuple[object, str, str]:
+    """Exit code (or `("exit", code)` of a `SystemExit`), stdout and stderr
+    of `entry(argv)` reading `stdin`."""
     out, err, saved = io.StringIO(), io.StringIO(), sys.stdin
     sys.stdin = io.StringIO(stdin)
     try:
         with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
+            try:
+                code = entry(list(argv))
+            except SystemExit as exc:
+                code = ("exit", exc.code)
     finally:
         sys.stdin = saved
     return code, out.getvalue(), err.getvalue()
@@ -285,6 +291,144 @@ def test_json_draws_and_listings_build_no_tiles(capsys, monkeypatch):
     monkeypatch.setattr(enumeration, "Tiling", no_tile)
     monkeypatch.setattr("sys.stdin", io.StringIO(GAPPED_GRID))
     assert [run(capsys, *draw), run(capsys, *listing)] == [(0, out, "") for out in want]
+
+
+def test_warm_draw_builds_no_region(capsys, monkeypatch):
+    draw = ["sample", "--rect", "2x300", "--n", "2", "--seed"]
+    want = [sample_tiling(build_rectangle(2, 300), 2, seed).to_json() + "\n" for seed in (1, 2)]
+    # The sampler's table cache now holds the region, and nothing else does.
+    assert run(capsys, *draw, "1") == (0, want[0], "")
+
+    def no_cells(*args):
+        raise AssertionError("built a region for a repeated spec")
+
+    monkeypatch.setattr(region, "_cells", no_cells)
+    assert run(capsys, *draw, "2") == (0, want[1], "")
+    assert run(capsys, *draw, "1") == (0, want[0], "")
+
+
+@pytest.mark.parametrize(
+    "builder, flags",
+    [
+        ("build_rectangle", ("--rect", "4x9", "--n", "3")),
+        ("build_aztec", ("--aztec", "N=3,n=4,k=2")),
+        ("build_stair", ("--stair", "M=6,n=5")),
+    ],
+)
+def test_count_regions_do_not_outlive_their_request(capsys, monkeypatch, builder, flags):
+    # No other test keeps these regions, so a live one here was kept by the request.
+    built = []
+
+    def build(*args):
+        made = getattr(region, builder)(*args)
+        built.append(weakref.ref(made))
+        return made
+
+    monkeypatch.setattr(cli, builder, build)
+    assert run(capsys, "count", *flags)[0] == 0
+    gc.collect()
+    assert len(built) == 1 and built[0]() is None
+
+
+def _reference_main(argv: list[str]) -> int:
+    """`main` as it was first written: the whole parser parses every argv."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except NotTileableError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        return 1
+
+
+def _parsed(parse, argv: list[str]) -> object:
+    """The attributes `parse(argv)` sets, or the code it exits with."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(parse(list(argv)))
+        except SystemExit as exc:
+            return exc.code
+
+
+def _assert_main_parses_as_whole_parser(argv: list[str], stdin: str) -> None:
+    assert _main_on(argv, stdin) == _main_on(argv, stdin, _reference_main), argv
+    assert _parsed(cli._parse, argv) == _parsed(build_parser().parse_args, argv), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--version"],
+        ["-h"],
+        ["--"],
+        ["bogus"],
+        ["Sample"],
+        ["--version", "sample"],
+        ["sample", "--version"],
+        ["sample", "-h"],
+        ["sample", "--help", "--bogus"],
+        ["sample", "--rect", "3x3", "--n", "3", "--bogus"],
+        ["sample", "--rect", "3x3", "--n", "3", "extra", "words"],
+        ["sample", "--re", "3x3", "--n", "3", "--se", "5"],
+        ["sample", "--s", "5", "--rect", "3x3", "--n", "3"],
+        ["sample", "--rect=3x3", "--n=3", "--seed=-4"],
+        ["sample", "--rect", "3x3", "--n", "3", "--", "--seed", "1"],
+        ["sample", "--", "--rect", "3x3"],
+        ["--", "sample", "--rect", "3x3", "--n", "3"],
+        ["sample", "--rect", "3x3", "--n", "3", "--format", "svg"],
+        ["count", "--rect", "3x3", "--n", "x"],
+        ["count", "--rect", "3x6", "--n", "3", "--format=text"],
+        ["enumerate", "--rect", "2x3", "--n", "2", "sample"],
+        ["render", "--in", "-", "--format", "text"],
+        ["graph", "--stair", "M=3,n=2", "--format", "json"],
+        ["verify"],
+        ["verify", "nonsense"],
+        ["verify", "formulas", "--bogus"],
+        ["verify", "growth", "--rect", "4x6", "--n", "3"],
+    ],
+)
+def test_main_parses_as_the_whole_parser(argv):
+    _assert_main_parses_as_whole_parser(argv, '{"tiles":[{"root":[0,0],"moves":"E"}]}')
+
+
+_STRAY = ["--bogus", "bogus", "-x", "-h", "--help", "--version", "--", "--seed=3", "--n=x", "-5", "count", "sample"]
+
+
+@st.composite
+def _any_argv(draw):
+    """A `_cli_request` argv with flags now and then abbreviated or joined to
+    their values by `=`, and stray words put in anywhere, the command's place
+    included."""
+    argv, grid = draw(_cli_request())
+    words = argv[:1]
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        if draw(_usually(st.just(False), st.just(True))):
+            flag = flag[: draw(st.integers(3, len(flag)))]
+        if draw(_usually(st.just(False), st.just(True))):
+            words.append(f"{flag}={value}")
+        else:
+            words += [flag, value]
+    for place, word in draw(st.lists(st.tuples(st.integers(0, len(words)), st.sampled_from(_STRAY)), max_size=2)):
+        words.insert(place, word)
+    return words, grid
+
+
+@settings(max_examples=200, deadline=None)
+@given(_any_argv())
+def test_main_parses_any_argv_as_the_whole_parser(tmp_path_factory, argv_and_grid):
+    argv, grid = argv_and_grid
+    path = tmp_path_factory.getbasetemp() / "parse-grid.txt"
+    path.write_text(grid)
+    argv = [str(path) if word == "GRID" else word for word in argv]
+    _assert_main_parses_as_whole_parser(argv, grid)
 
 
 def test_parser_reuse_keeps_calls_apart(capsys):

@@ -1,5 +1,10 @@
 """Cells, shapes, tiles, regions, builders, and tiling validation."""
 
+import copy
+import gc
+import pickle
+import weakref
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -131,6 +136,17 @@ def test_region_basic_properties():
     assert region.level_histogram == {0: 1, 1: 2, 2: 2, 3: 1}
     levels = [c.level for c in region.sorted_cells]
     assert levels == sorted(levels)
+
+
+def test_level_histogram_is_read_only():
+    region = build_rectangle(2, 2)
+    with pytest.raises(TypeError):
+        region.level_histogram[0] = 5
+    with pytest.raises(TypeError):
+        del region.level_histogram[0]
+    assert region.level_histogram == {0: 1, 1: 2, 2: 1}
+    for copied in (pickle.loads(pickle.dumps(region)), copy.deepcopy(region)):
+        assert copied == region and copied.level_histogram == region.level_histogram
 
 
 def test_region_with_hole_is_not_simply_connected():
@@ -296,3 +312,35 @@ def test_shifted_and_negative_cells_normalise(cells, dx, dy):
         assert moved == region
         assert moved.bounds[:2] == (0, 0)
         assert all(type(c) is Cell for c in moved.cells)
+
+
+@pytest.mark.parametrize(
+    "build, args, same",
+    [
+        (build_rectangle, (7, 13), (7, 13)),
+        (build_aztec, (2, 5, 3), (2, 5, 3)),
+        (build_aztec, (3, 4), (3, 4, 0)),  # k defaults to 0
+        (build_stair, (9, 2), (9, 2)),
+    ],
+)
+def test_builders_reuse_a_live_region_and_keep_none(build, args, same):
+    region = build(*args)
+    assert build(*same) is region
+    assert build(*args) is region
+    gone = weakref.ref(region)
+    del region
+    gc.collect()
+    assert gone() is None
+    assert build(*args) == build(*same)
+
+
+def test_invalid_builder_arguments_raise_every_time():
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            build_rectangle(0, 3)
+        with pytest.raises(ValueError):
+            build_aztec(2, 1)
+        with pytest.raises(ValueError):
+            build_aztec(2, 3, 2)
+        with pytest.raises(ValueError):
+            build_stair(3, 0)
