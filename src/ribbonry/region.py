@@ -28,6 +28,10 @@ from typing import Iterable, Iterator, NamedTuple
 EAST = "E"
 NORTH = "N"
 
+_TILE_KEYS = frozenset({"root", "moves"})
+_TILING_KEYS = frozenset({"tiles"})
+_new_tuple = tuple.__new__
+
 
 class Cell(NamedTuple):
     x: int
@@ -49,7 +53,8 @@ class RibbonShape:
     """Shape of a ribbon: a word over {E, N} giving the successive steps.
 
     The empty word is the monomino.  A length-n ribbon has n-1 steps, so
-    there are 2^(n-1) shapes of each length.
+    there are 2^(n-1) shapes of each length.  The cells' offsets from the
+    root are worked out once per shape, on first use (`offsets`).
     """
 
     moves: str = ""
@@ -62,6 +67,20 @@ class RibbonShape:
     @property
     def length(self) -> int:
         return len(self.moves) + 1
+
+    @cached_property
+    def offsets(self) -> tuple[tuple[int, int], ...]:
+        """(dx, dy) of each cell from the root, in walk order.  Steps only go
+        east or north, so the last offset is the largest in both coordinates."""
+        dx = dy = 0
+        out = [(0, 0)]
+        for move in self.moves:
+            if move == NORTH:
+                dy += 1
+            else:
+                dx += 1
+            out.append((dx, dy))
+        return tuple(out)
 
     @classmethod
     def from_word(cls, word: str, n: int) -> "RibbonShape":
@@ -99,11 +118,14 @@ class Tile:
         return self.shape.length
 
     def cells(self) -> tuple[Cell, ...]:
-        """Cells in walk order; levels are root.level, root.level+1, ..."""
-        out = [self.root]
-        for move in self.shape.moves:
-            out.append(out[-1].north() if move == NORTH else out[-1].east())
-        return tuple(out)
+        """Cells in walk order; levels are root.level, root.level+1, ...
+
+        The root plus each of the shape's `offsets`, which are computed once
+        per shape; each cell is made as `Cell(x, y)` makes it, by
+        `tuple.__new__`, without a Python-level call per cell.
+        """
+        x, y = self.root
+        return tuple([_new_tuple(Cell, (x + dx, y + dy)) for dx, dy in self.shape.offsets])
 
     @property
     def top(self) -> Cell:
@@ -117,20 +139,23 @@ class Tile:
     def from_json_dict(cls, data: dict, shapes: dict[str, RibbonShape] | None = None) -> "Tile":
         """The tile `data` describes; `shapes`, when given, holds the shape made
         for each moves string so far, so tiles of one shape share it."""
-        _reject_unknown_keys(data, {"root", "moves"})
+        if not (isinstance(data, dict) and data.keys() <= _TILE_KEYS):
+            _reject_unknown_keys(data, _TILE_KEYS)  # raises
         x, y = data["root"]
         moves = data["moves"]
         if type(x) is not int or type(y) is not int or not isinstance(moves, str):
             raise TypeError(f"tile needs an integer root and string moves, got {data!r}")
+        root = _new_tuple(Cell, (x, y))
         if shapes is None:
-            return cls(Cell(x, y), RibbonShape(moves))
+            return cls(root, RibbonShape(moves))
         shape = shapes.get(moves)
         if shape is None:
             shape = shapes[moves] = RibbonShape(moves)
-        return cls(Cell(x, y), shape)
+        return cls(root, shape)
 
 
-def _reject_unknown_keys(data: dict, allowed: set[str]) -> None:
+
+def _reject_unknown_keys(data: dict, allowed: frozenset[str]) -> None:
     """The tiling schema sets additionalProperties: false on tilings and tiles."""
     if not isinstance(data, dict):
         raise TypeError(f"expected a JSON object, got {type(data).__name__}")
@@ -336,17 +361,24 @@ class Tiling:
     tiles: tuple[Tile, ...]
 
     def validate(self) -> None:
-        """Check the tiles partition the region and roots ascend by (level, x)."""
+        """Check the tiles partition the region and roots ascend by (level, x).
+
+        Raises `ValueError` on the first fault, in this order: going tile by
+        tile and cell by cell, a cell outside the region or covered twice;
+        then up to three uncovered cells, sorted; then the root order.
+        """
+        region = self.region.cells
         covered: set[Cell] = set()
         for tile in self.tiles:
             for cell in tile.cells():
-                if cell not in self.region:
+                if cell not in region:
                     raise ValueError(f"tile cell {cell} lies outside the region")
                 if cell in covered:
                     raise ValueError(f"cell {cell} covered twice")
                 covered.add(cell)
-        if covered != set(self.region.cells):
-            missing = sorted(set(self.region.cells) - covered)[:3]
+        # Every covered cell is in the region, so equal sizes mean equal sets.
+        if len(covered) != len(region):
+            missing = sorted(region - covered)[:3]
             raise ValueError(f"cells left uncovered, e.g. {missing}")
         roots = [(t.root.level, t.root.x) for t in self.tiles]
         if roots != sorted(roots):
@@ -360,20 +392,29 @@ class Tiling:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Tiling":
-        _reject_unknown_keys(data, {"tiles"})
+        """The tiling `data` describes, shifted so its cells' minima are 0,
+        on the region its tiles cover, tiles in canonical root order.
+
+        Tiles of one moves string share one shape, and each tile's cells are
+        computed once.  Such a tiling can break only one of `validate`'s
+        rules, a cell covered twice; `validate` runs only when the cells
+        count more than the region, to report that cell as it does.
+        """
+        _reject_unknown_keys(data, _TILING_KEYS)
         shapes: dict[str, RibbonShape] = {}
         tiles = [Tile.from_json_dict(t, shapes) for t in data["tiles"]]
         if not tiles:
             raise ValueError("tiling has no tiles")
-        cells = [cell for tile in tiles for cell in tile.cells()]
-        dx = min(cells).x  # a Cell sorts by (x, y)
-        dy = min(map(itemgetter(1), cells))
+        # Offsets are never negative, so the roots hold the cells' minima.
+        dx = min([t.root.x for t in tiles])
+        dy = min([t.root.y for t in tiles])
         if dx or dy:
             tiles = [Tile(Cell(t.root.x - dx, t.root.y - dy), t.shape) for t in tiles]
-        # The region shifts its cells by the same minima.
-        region = Region(frozenset(cells))
-        tiling = cls(region, tuple(sorted(tiles, key=lambda t: (t.root.level, t.root.x))))
-        tiling.validate()
+        tiles.sort(key=lambda t: (t.root.x + t.root.y, t.root.x))
+        cells = [cell for tile in tiles for cell in tile.cells()]
+        tiling = cls(Region(frozenset(cells)), tuple(tiles))
+        if len(tiling.region.cells) != len(cells):
+            tiling.validate()  # raises: some cell is covered twice
         return tiling
 
     @classmethod

@@ -7,15 +7,19 @@ ends, the orientation and coloring counters are exhaustive, the polynomial
 helpers work on coefficient lists, and the arc references orient free and
 forced tile pairs by two separate rules where the package uses one.
 Domino counts on simply connected regions also come from the Kasteleyn
-determinant, with no search at all.
+determinant, with no search at all.  The picture references draw one tile at
+a time, as the package first did: a letter grid from a cell -> tile dict and
+an SVG whose outline is traced anew from every tile's own cells.
 """
 
 from __future__ import annotations
 
+import colorsys
+import string
 from functools import lru_cache
 from itertools import product
 
-from ribbonry.region import Cell, RibbonShape, Tile
+from ribbonry.region import Cell, RibbonShape, Tile, Tiling
 
 
 def ribbon_cells(root: tuple[int, int], word: str) -> list[tuple[int, int]] | None:
@@ -281,3 +285,92 @@ def forced_arc_reference(u, u_cells, v, v_cells):
     """Arc of an exactly-n-apart pair, u the lower tile: v lies right of u
     exactly when v's root is strictly east of u's top cell."""
     return (u, v) if v_cells[0][0] > u_cells[-1][0] else (v, u)
+
+
+_LETTERS = string.ascii_lowercase + string.ascii_uppercase + string.digits
+_CELL_SIZE = 28  # SVG pixels per lattice unit
+
+
+def tiling_to_ascii_reference(tiling: Tiling) -> str:
+    """Letter grid, one letter per tile, '.' outside the region, top row first."""
+    owner: dict[Cell, int] = {}
+    for i, tile in enumerate(tiling.tiles):
+        for cell in tile.cells():
+            owner[cell] = i
+    _, _, max_x, max_y = tiling.region.bounds
+    rows = []
+    for y in range(max_y, -1, -1):
+        rows.append(
+            "".join(
+                _LETTERS[owner[Cell(x, y)] % len(_LETTERS)] if Cell(x, y) in owner else "."
+                for x in range(max_x + 1)
+            )
+        )
+    return "\n".join(rows)
+
+
+def _tile_color(index: int) -> str:
+    # Knuth multiplicative hash onto the hue circle: stable per tile index.
+    hue = (index * 2654435761 % 2**32) / 2**32
+    r, g, b = colorsys.hls_to_rgb(hue, 0.72, 0.65)
+    return f"#{int(r * 255):02x}{int(g * 255):02x}{int(b * 255):02x}"
+
+
+def _outline(cells: tuple[Cell, ...]) -> list[tuple[int, int]]:
+    """Boundary polygon of a ribbon, as lattice points in draw order.
+
+    Collects each cell's four boundary segments directed counter-clockwise;
+    segments shared by two cells cancel in opposite pairs.  A ribbon never
+    touches itself diagonally (its cells climb one level per step), so the
+    survivors chain into a single simple loop.
+    """
+    segments: set[tuple[tuple[int, int], tuple[int, int]]] = set()
+    for x, y in cells:
+        for a, b in (
+            ((x, y), (x + 1, y)),
+            ((x + 1, y), (x + 1, y + 1)),
+            ((x + 1, y + 1), (x, y + 1)),
+            ((x, y + 1), (x, y)),
+        ):
+            if (b, a) in segments:
+                segments.remove((b, a))
+            else:
+                segments.add((a, b))
+    succ = dict(segments)
+    start = min(succ)
+    loop = [start]
+    here = succ[start]
+    while here != start:
+        loop.append(here)
+        here = succ[here]
+    return loop
+
+
+def tiling_to_svg_reference(tiling: Tiling) -> str:
+    """One colored polygon per ribbon, root cells marked with a dot."""
+    _, _, max_x, max_y = tiling.region.bounds
+    width = (max_x + 1) * _CELL_SIZE
+    height = (max_y + 1) * _CELL_SIZE
+
+    def px(point: tuple[int, int]) -> str:
+        x, y = point
+        return f"{x * _CELL_SIZE},{(max_y + 1 - y) * _CELL_SIZE}"
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">'
+    ]
+    for i, tile in enumerate(tiling.tiles):
+        points = " ".join(px(p) for p in _outline(tile.cells()))
+        parts.append(
+            f'<polygon class="ribbon" points="{points}" fill="{_tile_color(i)}" '
+            f'stroke="#333" stroke-width="1.5"/>'
+        )
+    for tile in tiling.tiles:
+        cx = (tile.root.x + 0.5) * _CELL_SIZE
+        cy = (max_y + 0.5 - tile.root.y) * _CELL_SIZE
+        parts.append(
+            f'<circle class="root" cx="{cx}" cy="{cy}" r="{_CELL_SIZE * 0.12}" fill="#222"/>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts)

@@ -1,15 +1,18 @@
 """Outputs pinned as sha256 digests: seed -> sampled tiling, the sampler's
-completion tables, enumeration order, CLI listings, isomorphism witnesses and
-chromatic coefficients.
+completion tables, enumeration order, CLI listings, `render` pictures,
+isomorphism witnesses and chromatic coefficients.
 
 The tiling digests were recorded from the recursive frontier search, the
 graph digests before isomorphism and the chromatic peel moved onto
-incidence lists, and the CLI listing digests while `enumerate` still built
-and serialised a `Tiling` per line; any engine change must reproduce them
+incidence lists, the CLI listing digests while `enumerate` still built
+and serialised a `Tiling` per line, and the picture digests while both
+renderers still worked cell by cell; any engine change must reproduce them
 byte for byte.
 """
 
 import hashlib
+import io
+import json
 
 import pytest
 
@@ -22,10 +25,12 @@ from ribbonry import (
     chromatic_polynomial,
     enumerate_tilings,
     graphs_isomorphic,
+    parse_region,
     sample_tiling,
 )
 from ribbonry.cli import main
 from ribbonry.enumeration import _Searcher
+from ribbonry.region import Region
 from ribbonry.verify import bijection_battery
 
 
@@ -145,3 +150,94 @@ def test_chromatic_coefficients_golden():
     graphs.append(build_graph(build_rectangle(2, 1200), 2))
     lines = [repr(chromatic_polynomial(graph).coeffs) for graph in graphs]
     assert _lines_digest(lines) == "875685e9d3394ae435e0237b4b44363089cfa1952325643412421a1a7f95b4e3"
+
+
+def _draw(region: Region, n: int) -> str:
+    """The tiling JSON that `ribbonry sample ... --seed 1` writes."""
+    return sample_tiling(region, n, 1).to_json()
+
+
+def _shifted_draw(dx: int, dy: int) -> str:
+    """A draw on a region built from cells away from the origin, with its
+    roots moved off the origin too, so that `render` shifts them back."""
+    cells = [(x + 11, y + 4) for x, y in build_aztec(3, 3, 1).cells]
+    tiling = json.loads(sample_tiling(Region.from_cells(cells), 3, 5).to_json())
+    for tile in tiling["tiles"]:
+        tile["root"] = [tile["root"][0] + dx, tile["root"][1] + dy]
+    return json.dumps(tiling)
+
+
+HOLED_GRID = "#######\n#######\n##...##\n##...##\n#######\n#######"
+
+# `render` of fixed draws: the seven bench `sample` regions, an offset-built
+# region and a grid with a hole.  sha256 of stdout for --format svg and text,
+# recorded while the SVG traced every tile's outline from its own cells and
+# the letter grid was filled from a cell -> tile dict.
+RENDER_GOLDENS = [
+    (
+        "rect 3x3 n=3",
+        lambda: _draw(build_rectangle(3, 3), 3),
+        "040054cb83c598ab73802f7712ffd3968a03b1bb9a42a4bf9700b46f269ec1b9",
+        "a0bac2d31fb1eb1c323c295863cb687f7a752c949ef5e0f7364f991866b0f180",
+    ),
+    (
+        "rect 3x7 n=3",
+        lambda: _draw(build_rectangle(3, 7), 3),
+        "58ebf7cbf5a87aeeaa51d2d744c4882a6b936f7d9bb963980d752349c8e69656",
+        "f49201d87bfe48dc012fd99f6bcca4e4e2b2bb8b801c8957b544b7e0ff6ba3dd",
+    ),
+    (
+        "rect 4x8 n=4",
+        lambda: _draw(build_rectangle(4, 8), 4),
+        "d77088132db0d28e27175d7b0e8765e0ffdb766d090f7e9c82d1645f875e2770",
+        "149a834cd763ef77e922e2bd3f493f3f91c5fe1c1a931202eeb2e65740f2199a",
+    ),
+    (
+        "stair M=10,n=4",
+        lambda: _draw(build_stair(10, 4), 4),
+        "1a27a0be54e4e2a1c1d0621cdcfef2884f103af290143cf684d341a3f7cee229",
+        "282b393104b13cc50e6f3040f8ecdc9194025a3f5259a19cc289018b1436f1f7",
+    ),
+    (
+        "aztec N=5,n=3,k=1",
+        lambda: _draw(build_aztec(5, 3, 1), 3),
+        "8794ddfb4cfd2f907a30f8af08ab72d5a706e6208d50e7631dffa97b2da9bd8c",
+        "55fa97930c2df2abaf115b0abf2bec38dcc486b9009e96742d3e67a48412f458",
+    ),
+    (
+        "rect 10x10 n=2",
+        lambda: _draw(build_rectangle(10, 10), 2),
+        "fc5b64c9afe9f566e645c8e1a52d76992039bd03a7e7366a915397634c88fa27",
+        "d0fde2d22505c8cf1b2d9c5847c1876a49f756b561d905fb5986d6d75dec5668",
+    ),
+    (
+        "rect 2x300 n=2",
+        lambda: _draw(build_rectangle(2, 300), 2),
+        "c4d2a72b1dbb9a8e912ed3e2a7316c77b16776916965b24ad46d313066bfb2e6",
+        "471c2895fdf921228b373d9e8e46bf01b19ebc4ab3c32edae58cade35c56c4c0",
+    ),
+    (
+        "offset aztec N=3,n=3,k=1",
+        lambda: _shifted_draw(6, 9),
+        "43a7b756e00f6b3d047b68313ac88463f644b769a3ac0a06521d48126cb5e3e5",
+        "c51b81a32456c28a87458fd6aaa354e6de06006a0da7cae1b86e0c0d5ca510e9",
+    ),
+    (
+        "holed grid n=3",
+        lambda: _draw(parse_region(HOLED_GRID), 3),
+        "a5d97ec8a63b6533875924eb06f49ca86969c50efb78c110474e3628961ab23a",
+        "cfb1e7edaf5c99e17405c29871c72139d38925a6d6bf234d1f6a7db1112e8ed8",
+    ),
+]
+
+
+@pytest.mark.parametrize("fmt", ["svg", "text"])
+@pytest.mark.parametrize(
+    "draw,svg_digest,text_digest", [case[1:] for case in RENDER_GOLDENS], ids=[case[0] for case in RENDER_GOLDENS]
+)
+def test_render_golden(capsys, monkeypatch, fmt, draw, svg_digest, text_digest):
+    monkeypatch.setattr("sys.stdin", io.StringIO(draw()))
+    assert main(["render", "--format", fmt]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert sha256(out) == (svg_digest if fmt == "svg" else text_digest)

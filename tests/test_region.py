@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import io
 import pickle
 import weakref
 
@@ -24,6 +25,7 @@ from ribbonry import (
     tiling_to_ascii,
     tiling_to_svg,
 )
+from ribbonry.cli import main
 
 
 def test_cell_level_and_steps():
@@ -245,6 +247,127 @@ def test_tiling_validate_rejects_bad_order():
     )
     with pytest.raises(ValueError, match="canonical"):
         swapped.validate()
+
+
+# Every way `Tiling.from_json` refuses a document: the exception type and
+# message, recorded from the per-cell parser.  A duplicate cell is reported
+# in coordinates after the tiling is shifted to the origin.
+FROM_JSON_ERRORS = [
+    ('{"tiles":[{"root":[0,0],"moves":"E"}],"extra":1}', ValueError, "unknown keys ['extra']"),
+    ('{"tiles":[{"root":[0,0],"moves":"E","color":"red"}]}', ValueError, "unknown keys ['color']"),
+    ('{"tiles":[{"root":[0,0],"moves":"E","b":0,"a":0}]}', ValueError, "unknown keys ['a', 'b']"),
+    ("[]", TypeError, "expected a JSON object, got list"),
+    ("5", TypeError, "expected a JSON object, got int"),
+    ('{"tiles":[1]}', TypeError, "expected a JSON object, got int"),
+    ('{"tiles":[[0,0]]}', TypeError, "expected a JSON object, got list"),
+    ('{"tiles":"ab"}', TypeError, "expected a JSON object, got str"),
+    ('{"tiles":5}', TypeError, "'int' object is not iterable"),
+    ("{}", KeyError, "'tiles'"),
+    ('{"tiles":[{"moves":"E"}]}', KeyError, "'root'"),
+    ('{"tiles":[{}]}', KeyError, "'root'"),
+    ('{"tiles":[{"root":[0,0]}]}', KeyError, "'moves'"),
+    ('{"tiles":[{"root":[0],"moves":"E"}]}', ValueError, "not enough values to unpack (expected 2, got 1)"),
+    ('{"tiles":[{"root":[0,0,0],"moves":"E"}]}', ValueError, "too many values to unpack (expected 2)"),
+    ('{"tiles":[{"root":5,"moves":"E"}]}', TypeError, "cannot unpack non-iterable int object"),
+    (
+        '{"tiles":[{"root":[0.5,0],"moves":"E"}]}',
+        TypeError,
+        "tile needs an integer root and string moves, got {'root': [0.5, 0], 'moves': 'E'}",
+    ),
+    (
+        '{"tiles":[{"root":"ab","moves":"E"}]}',
+        TypeError,
+        "tile needs an integer root and string moves, got {'root': 'ab', 'moves': 'E'}",
+    ),
+    (
+        '{"tiles":[{"root":[true,0],"moves":"E"}]}',
+        TypeError,
+        "tile needs an integer root and string moves, got {'root': [True, 0], 'moves': 'E'}",
+    ),
+    (
+        '{"tiles":[{"root":[0,false],"moves":"E"}]}',
+        TypeError,
+        "tile needs an integer root and string moves, got {'root': [0, False], 'moves': 'E'}",
+    ),
+    (
+        '{"tiles":[{"root":[0,0],"moves":["E"]}]}',
+        TypeError,
+        "tile needs an integer root and string moves, got {'root': [0, 0], 'moves': ['E']}",
+    ),
+    (
+        '{"tiles":[{"root":[0,0],"moves":null}]}',
+        TypeError,
+        "tile needs an integer root and string moves, got {'root': [0, 0], 'moves': None}",
+    ),
+    ('{"tiles":[{"root":[0,0],"moves":"EX"}]}', ValueError, "shape moves must be E or N, got ['X']"),
+    ('{"tiles":[{"root":[0,0],"moves":"e"}]}', ValueError, "shape moves must be E or N, got ['e']"),
+    (
+        '{"tiles":[{"root":[0,0],"moves":"E"},{"root":[1,1],"moves":"Q"}]}',
+        ValueError,
+        "shape moves must be E or N, got ['Q']",
+    ),
+    ('{"tiles":[]}', ValueError, "tiling has no tiles"),
+    ('{"tiles":{}}', ValueError, "tiling has no tiles"),
+    ('{"tiles":""}', ValueError, "tiling has no tiles"),
+    (
+        '{"tiles":[{"root":[3,5],"moves":"EN"},{"root":[4,5],"moves":"N"}]}',
+        ValueError,
+        "cell Cell(x=1, y=0) covered twice",
+    ),
+    (
+        '{"tiles":[{"root":[7,2],"moves":"E"},{"root":[5,2],"moves":"EE"},'
+        '{"root":[5,3],"moves":"EE"},{"root":[6,2],"moves":""}]}',
+        ValueError,
+        "cell Cell(x=1, y=0) covered twice",
+    ),
+    (
+        '{"tiles":[{"root":[-2,-3],"moves":"E"},{"root":[-2,-3],"moves":"N"}]}',
+        ValueError,
+        "cell Cell(x=0, y=0) covered twice",
+    ),
+    ("not json", ValueError, "Expecting value: line 1 column 1 (char 0)"),
+]
+
+
+@pytest.mark.parametrize("text,error,message", FROM_JSON_ERRORS)
+def test_from_json_errors_are_pinned(capsys, monkeypatch, text, error, message):
+    with pytest.raises(error) as caught:
+        Tiling.from_json(text)
+    assert str(caught.value) == message
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["render"]) == 1
+    assert capsys.readouterr() == ("", f"error: not a tiling: {message}\n")
+
+
+def _tiles(*specs: tuple[int, int, str]) -> tuple[Tile, ...]:
+    return tuple(Tile(Cell(x, y), RibbonShape(moves)) for x, y, moves in specs)
+
+
+# Hand-built tilings `validate` refuses, with its message; where a tiling
+# breaks two rules, the one checked first is reported.
+VALIDATE_ERRORS = [
+    (build_rectangle(1, 2), _tiles((0, 0, "EE")), "tile cell Cell(x=2, y=0) lies outside the region"),
+    (build_rectangle(2, 2), _tiles((0, 0, "N"), (0, 0, "E")), "cell Cell(x=0, y=0) covered twice"),
+    (build_rectangle(2, 2), _tiles((0, 0, "E")), "cells left uncovered, e.g. [Cell(x=0, y=1), Cell(x=1, y=1)]"),
+    (
+        build_rectangle(3, 3),
+        _tiles((0, 0, "E")),
+        "cells left uncovered, e.g. [Cell(x=0, y=1), Cell(x=0, y=2), Cell(x=1, y=1)]",
+    ),
+    (build_rectangle(2, 2), _tiles((0, 1, "E"), (0, 0, "E")), "tiles are not in canonical root order"),
+    # A duplicate before an outside cell, then an outside cell before a duplicate.
+    (build_rectangle(1, 3), _tiles((0, 0, "E"), (1, 0, "EE")), "cell Cell(x=1, y=0) covered twice"),
+    (build_rectangle(1, 3), _tiles((1, 0, "EE"), (0, 0, "E")), "tile cell Cell(x=3, y=0) lies outside the region"),
+    # Uncovered cells are reported before the root order.
+    (build_rectangle(2, 3), _tiles((0, 1, "EE"), (0, 0, "E")), "cells left uncovered, e.g. [Cell(x=2, y=0)]"),
+]
+
+
+@pytest.mark.parametrize("region,tiles,message", VALIDATE_ERRORS)
+def test_validate_errors_are_pinned(region, tiles, message):
+    with pytest.raises(ValueError) as caught:
+        Tiling(region, tiles).validate()
+    assert str(caught.value) == message
 
 
 def test_tiling_json_round_trip_normalizes_translation():
