@@ -9,6 +9,11 @@ over through the whole parser, as the whole parser would; an argv that does
 not start with a command name goes through the whole parser.  Either way
 the outcome, usage messages and `--help`/`--version` output included, is
 the same as `build_parser().parse_args(argv)`.
+
+Only `region` and `enumeration` are imported with this module: they are
+what `count`, `enumerate` and `sample` run.  `render`, `sheffield` and
+`verify` are imported inside the commands that use them, so a one-shot
+process never loads a module its command does not run.
 """
 
 from __future__ import annotations
@@ -21,12 +26,12 @@ import sys
 from . import __version__
 from .enumeration import NotTileableError, _draw, _searcher_for, count_tilings, log2_big
 from .region import Region, RegionParseError, Tiling, build_aztec, build_rectangle, build_stair, parse_region
-from .render import _letter_grids, tiling_to_ascii, tiling_to_svg
-from .sheffield import build_graph, to_dot
-from .verify import FAIL, SUITE_NAMES, run_suite
 
 
 _REGION_FLAGS = ("rect", "aztec", "stair", "grid")
+
+#: The suites `ribbonry verify` runs, as `verify.run_suite` names them.
+SUITE_NAMES = ("formulas", "stanley", "bijection", "growth", "all")
 
 
 class UsageError(Exception):
@@ -110,17 +115,34 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, separators=(",", ":")))
 
 
+def _decimal(value: int) -> str:
+    """`str(value)` for a nonnegative integer of any size.
+
+    `str` refuses an integer of more digits than
+    `sys.get_int_max_str_digits()` (4,300 by default).  Such a value is split
+    at a power of ten into two halves that are converted on their own, so the
+    limit, which the whole process shares, stays as it is.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # Under 8**limit, a value has at most `limit` digits.
+    if not limit or value.bit_length() <= 3 * limit:
+        return str(value)
+    width = value.bit_length() * 3 // 20  # about half its digits
+    head, tail = divmod(value, 10**width)
+    return _decimal(head) + _decimal(tail).zfill(width)
+
+
 def cmd_count(args: argparse.Namespace) -> int:
     region, n = _resolve_region(args)
     count = count_tilings(region, n)
     tiles = region.area // n if region.area % n == 0 else None
     ent = log2_big(count) / tiles if count and tiles else None
     if args.format == "text":
-        print(f"count: {count}")
+        print(f"count: {_decimal(count)}")
         print(f"tiles: {'-' if tiles is None else tiles}")
         print(f"entropy: {'-' if ent is None else format(ent, '.6f')}")
     else:
-        _print_json({"count": str(count), "tiles": tiles, "entropy": ent})
+        _print_json({"count": _decimal(count), "tiles": tiles, "entropy": ent})
     return 0
 
 
@@ -136,6 +158,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     searcher = _searcher_for(region, n)
     write = sys.stdout.write
     if args.format == "text":
+        from .render import _letter_grids
+
         for grid in _letter_grids(region, searcher.tiles, searcher.walk()):
             write(grid + "\n\n")
     else:
@@ -156,6 +180,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
     region, n = _resolve_region(args)
     searcher, picks = _draw(region, n, args.seed)
     if args.format == "text":
+        from .render import _letter_grids
+
         tiles = list(map(searcher.tiles.__getitem__, picks))
         sys.stdout.write(next(_letter_grids(region, tiles, [range(len(tiles))])) + "\n")
     else:
@@ -164,6 +190,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
+    from .render import tiling_to_ascii, tiling_to_svg
+
     try:
         tiling = Tiling.from_json(_read_text(args.infile))
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
@@ -174,6 +202,8 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
+    from .sheffield import build_graph, to_dot
+
     region, n = _resolve_region(args)
     graph = build_graph(region, n)
     if args.format == "json":
@@ -184,6 +214,8 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import FAIL, run_suite
+
     growth_cases = None
     if any(getattr(args, name) for name in _REGION_FLAGS):
         if args.suite not in ("growth", "all"):

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .enumeration import count_tilings, log2_big
+from .enumeration import count_tilings
 from .region import build_rectangle
 
 #: Catalan's constant sum((-1)^k / (2k+1)^2).
@@ -92,22 +92,6 @@ def a_sequence(n: int) -> list[int]:
             raise ArithmeticError(f"a({m}) is not an integer: {Fraction(total, 2 * (m + 2))}")
         terms.append(term)
     return terms
-
-
-def a_entropy_diagnostic(n_max: int) -> list[tuple[int, float, float]]:
-    """Rows (n, log2(a_n)/(2n), asymptote log2(n) - log2(e) + 1 - log2(C)/2).
-
-    Convergence of the second column to the third is slow; the rows are a
-    trend diagnostic, not a bound check.
-    """
-    if n_max < 1:
-        raise ValueError(f"need n_max >= 1, got {n_max}")
-    terms = a_sequence(n_max)
-    asym_shift = 1 - math.log2(math.e) - 0.5 * math.log2(A115047_GROWTH_C)
-    return [
-        (n, log2_big(terms[n]) / (2 * n), math.log2(n) + asym_shift)
-        for n in range(1, n_max + 1)
-    ]
 
 
 @dataclass(frozen=True)

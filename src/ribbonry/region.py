@@ -401,8 +401,11 @@ class Tiling:
         count more than the region, to report that cell as it does.
         """
         _reject_unknown_keys(data, _TILING_KEYS)
+        items = data["tiles"]
+        if not isinstance(items, (list, tuple)):  # what json.dumps writes as an array
+            raise TypeError(f"tiles: expected a JSON array, got {type(items).__name__}")
         shapes: dict[str, RibbonShape] = {}
-        tiles = [Tile.from_json_dict(t, shapes) for t in data["tiles"]]
+        tiles = [Tile.from_json_dict(t, shapes) for t in items]
         if not tiles:
             raise ValueError("tiling has no tiles")
         # Offsets are never negative, so the roots hold the cells' minima.

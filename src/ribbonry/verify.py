@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from . import formulas
+from .cli import SUITE_NAMES
 from .enumeration import count_minimal, count_tilings, count_variable
 from .region import Region, build_aztec, build_rectangle, build_stair, parse_region
 from .sheffield import verify_bijection, verify_growth_bounds
@@ -191,9 +192,6 @@ def growth_suite(cases: list[tuple[str, Region, int]] | None = None) -> list[Che
         actual = "bounds hold" if report.ok else f"violated at levels {[r.level for r in bad]}"
         checks.append(_check(label, "verify_growth_bounds", "bounds hold", actual))
     return checks
-
-
-SUITE_NAMES = ("formulas", "stanley", "bijection", "growth", "all")
 
 
 def run_suite(

@@ -92,6 +92,33 @@ def test_deep_regions_need_no_recursion(capsys):
     next(enumerate_tilings(strip, 2)).validate()
 
 
+def _int(numeral: str) -> int:
+    """`int(numeral)` for a numeral longer than `str` and `int` may convert."""
+    value = 0
+    for start in range(0, len(numeral), 1000):
+        chunk = numeral[start : start + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_count_past_the_digit_limit(capsys):
+    # 2x20580 has F(20581) domino tilings, 4,301 digits: one past the
+    # default limit on int-to-str conversion, which the CLI leaves alone.
+    limit = sys.get_int_max_str_digits()
+    want = fib(20581)
+    code, out, err = run(capsys, "count", "--rect", "2x20580", "--n", "2")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert _int(payload["count"]) == want and payload["tiles"] == 20580
+    code, out, err = run(capsys, "count", "--rect", "2x20580", "--n", "2", "--format", "text")
+    assert (code, err) == (0, "")
+    count, tiles, ent = out.splitlines()
+    assert count.startswith("count: ") and _int(count[7:]) == want
+    assert (tiles, ent) == ("tiles: 20580", f"entropy: {payload['entropy']:.6f}")
+    assert sys.get_int_max_str_digits() == limit
+    assert len(count) - 7 == len(payload["count"]) == 4301
+
+
 def test_memory_error_exits_1(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError

@@ -16,13 +16,14 @@ from ribbonry import (
     domino_strip_entropy,
     entropy,
     entropy_bounds,
+    log2_big,
     rect_strip_count,
     stair_count,
     stair_entropy_limit,
     stanley_fib_count,
     stanley_minimal_count,
 )
-from ribbonry.formulas import A115047_GROWTH_C, CATALAN, DOMINO_SQUARE_ENTROPY, a_entropy_diagnostic
+from ribbonry.formulas import A115047_GROWTH_C, CATALAN, DOMINO_SQUARE_ENTROPY
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
@@ -99,6 +100,20 @@ def test_a_sequence_long_run_stays_integral():
     assert len(terms) == 201
     assert all(isinstance(t, int) for t in terms)
     assert all(b > a for a, b in zip(terms[2:], terms[3:]))
+
+
+def a_entropy_diagnostic(n_max: int) -> list[tuple[int, float, float]]:
+    """Rows (n, log2(a_n)/(2n), asymptote log2(n) - log2(e) + 1 - log2(C)/2).
+
+    Convergence of the second column to the third is slow; the rows are a
+    trend diagnostic, not a bound check.
+    """
+    terms = a_sequence(n_max)
+    asym_shift = 1 - math.log2(math.e) - 0.5 * math.log2(A115047_GROWTH_C)
+    return [
+        (n, log2_big(terms[n]) / (2 * n), math.log2(n) + asym_shift)
+        for n in range(1, n_max + 1)
+    ]
 
 
 def test_a_entropy_diagnostic_trend():

@@ -260,8 +260,8 @@ FROM_JSON_ERRORS = [
     ("5", TypeError, "expected a JSON object, got int"),
     ('{"tiles":[1]}', TypeError, "expected a JSON object, got int"),
     ('{"tiles":[[0,0]]}', TypeError, "expected a JSON object, got list"),
-    ('{"tiles":"ab"}', TypeError, "expected a JSON object, got str"),
-    ('{"tiles":5}', TypeError, "'int' object is not iterable"),
+    ('{"tiles":"ab"}', TypeError, "tiles: expected a JSON array, got str"),
+    ('{"tiles":5}', TypeError, "tiles: expected a JSON array, got int"),
     ("{}", KeyError, "'tiles'"),
     ('{"tiles":[{"moves":"E"}]}', KeyError, "'root'"),
     ('{"tiles":[{}]}', KeyError, "'root'"),
@@ -307,8 +307,8 @@ FROM_JSON_ERRORS = [
         "shape moves must be E or N, got ['Q']",
     ),
     ('{"tiles":[]}', ValueError, "tiling has no tiles"),
-    ('{"tiles":{}}', ValueError, "tiling has no tiles"),
-    ('{"tiles":""}', ValueError, "tiling has no tiles"),
+    ('{"tiles":{}}', TypeError, "tiles: expected a JSON array, got dict"),
+    ('{"tiles":""}', TypeError, "tiles: expected a JSON array, got str"),
     (
         '{"tiles":[{"root":[3,5],"moves":"EN"},{"root":[4,5],"moves":"N"}]}',
         ValueError,

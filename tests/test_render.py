@@ -52,6 +52,25 @@ def _regions(draw):
     return region, n
 
 
+# A few fixed tilings, checked before the property test below: a renderer
+# that is wrong everywhere fails here at once, not after minutes of shrinking.
+_FIXED = [
+    sample_tiling(build_rectangle(3, 6), 3, 1),
+    sample_tiling(build_aztec(3, 3, 1), 3, 5),
+    sample_tiling(build_stair(5, 4), 4, 2),
+    sample_tiling(build_rectangle(4, 4), 1, 0),
+    Tiling.from_json(
+        '{"tiles":[{"root":[0,0],"moves":"E"},{"root":[2,0],"moves":"N"},'
+        '{"root":[0,1],"moves":"N"},{"root":[1,2],"moves":"E"}]}'
+    ),
+]
+
+
+@pytest.mark.parametrize("tiling", _FIXED, ids=["rect", "aztec", "stair", "monomino", "holed"])
+def test_renderers_match_references_on_fixed_tilings(tiling):
+    _assert_matches_references(tiling)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_regions(), st.integers(0, 10**6))
 def test_renderers_match_references(region_and_n, seed):
