@@ -149,10 +149,14 @@ def cmd_count(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     """List every tiling, one write per tiling.
 
-    Each line is joined along the walk's stack from output built once per
-    placement: the searcher's `fragments` in JSON, `_letter_grids` in text.
-    It matches `Tiling.to_json` (or `tiling_to_ascii` and a blank line) of
-    the tiling `enumerate_tilings` yields in its place.
+    The walk folds output built once per placement along its stack
+    (`_Searcher.walk`).  In JSON each placement's label is its fragment and
+    a comma, and its end is its fragment and the line's close, so the walk
+    yields each whole line from `{"tiles":[` with one concatenation, and
+    consecutive lines share their common prefix.  In text the walk folds
+    1-tuples of positions, which `_letter_grids` draws.  Each line matches
+    `Tiling.to_json` (or `tiling_to_ascii` and a blank line) of the tiling
+    `enumerate_tilings` yields in its place.
     """
     region, n = _resolve_region(args)
     searcher = _searcher_for(region, n)
@@ -160,22 +164,26 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.format == "text":
         from .render import _letter_grids
 
-        for grid in _letter_grids(region, searcher.tiles, searcher.walk()):
+        positions = [(position,) for position in range(len(searcher.tiles))]
+        for grid in _letter_grids(region, searcher.tiles, searcher.walk((), positions, positions)):
             write(grid + "\n\n")
     else:
-        fragment = searcher.fragments.__getitem__
-        for picks in searcher.walk():
-            write('{"tiles":[' + ",".join(map(fragment, picks)) + "]}\n")
+        fragments = searcher.fragments
+        labels = [fragment + "," for fragment in fragments]
+        ends = [fragment + "]}\n" for fragment in fragments]
+        for line in searcher.walk('{"tiles":[', labels, ends):
+            write(line)
     return 0
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
     """Draw one tiling and write it in one write.
 
-    The line is joined from the drawn placements' output, as in
-    `cmd_enumerate`: the sampler's cached searcher holds their `fragments`
-    in JSON, and text goes through `_letter_grids`.  It matches
-    `Tiling.to_json` (or `tiling_to_ascii`) of `sample_tiling`'s draw.
+    The line is built from the drawn placements' output, which
+    `cmd_enumerate` reads too: in JSON it is joined from their `fragments`,
+    which the sampler's cached searcher holds, and text goes through
+    `_letter_grids`.  It matches `Tiling.to_json` (or `tiling_to_ascii`)
+    of `sample_tiling`'s draw.
     """
     region, n = _resolve_region(args)
     searcher, picks = _draw(region, n, args.seed)

@@ -55,19 +55,25 @@ lists the steps of every placement that fits, and `placements[i]` pairs
 the mask of each one rooted at cell i with its position in `moves`.  Two
 per-placement outputs are built on first read, by position: `tiles`, the
 `Tile`s that `enumerate_tilings`, `sample_tiling` and text output read,
-and `fragments`, each placement's JSON, from which the CLI joins the
+and `fragments`, each placement's JSON, from which the CLI writes the
 lines of `enumerate` and `sample` without building a `Tile`.  The enumeration
 walk (`_Searcher.walk`) needs no counts and builds nothing up front.  It
 keeps its own explicit stack and searches each state once: it records the
 state's live edges, the placements that lead to a tiling, and replays them
 on every later visit, so it never tests a placement twice nor enters a dead
 state.  The record costs one edge list per searched state, at most the
-states reachable from 0.  At each full tiling the walk yields its stack:
-the positions of the placements made, in root order.  `enumerate_tilings`
-turns them into a `Tiling`; the CLI's listing looks up their `fragments`
-instead.  A draw (`_descend`) returns positions the same way, which
-`sample_tiling` turns into a `Tiling` and the CLI's `sample` into one line
-of `fragments`.  Listing and sampling search in (level, x) order,
+states reachable from 0.  The walk folds per-placement output along its
+stack: a caller passes a start and a label and an end for each placement,
+each push adds its placement's label to the head of the depth above, and
+each full tiling yields its head plus its last placement's end.  So
+consecutive tilings share the output of their common prefix, and each is
+built with one concatenation.  `enumerate_tilings` folds 1-tuples of
+`Tile`s into each tiling's tiles, the CLI's JSON listing folds `fragments`
+with their separators into each whole line, and its text listing folds
+1-tuples of positions for `_letter_grids`.  A draw (`_descend`) returns
+the positions of its placements in root order, which `sample_tiling`
+turns into a `Tiling` and the CLI's `sample` into one line of
+`fragments`.  Listing and sampling search in (level, x) order,
 which fixes the canonical listing order and each seed's tiling.  No search
 recurses, so region size, not search depth, bounds what can be counted or
 listed.
@@ -99,7 +105,7 @@ import random
 import threading
 from collections import OrderedDict, defaultdict
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .region import Cell, Region, RibbonShape, Tile, Tiling
 
@@ -107,6 +113,7 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 _V = TypeVar("_V")
+_S = TypeVar("_S", str, tuple)  # what `_Searcher.walk` folds: strings or tuples
 
 #: Table states plus region cells, summed over every entry, that the sampler's cache may keep.
 _TABLE_BUDGET = 1 << 17
@@ -233,7 +240,8 @@ class _Searcher:
         Each equals `json.dumps(tile.to_json_dict(), separators=(",", ":"))`
         of the placement's `Tile`, without building the tile: a root is a
         pair of integers, and moves are letters E and N, which need no
-        escaping.  The CLI joins a tiling's line from these.
+        escaping.  The CLI's `sample` joins a draw's line from these, and
+        its listing folds them into each tiling's line (`walk`).
         """
         return [
             f'{{"root":[{x},{y}],"moves":"{self.moves[position]}"}}'
@@ -340,15 +348,28 @@ class _Searcher:
         del table[full]
         return table
 
-    def walk(self) -> Iterator[list[int]]:
-        """Every tiling, depth first with placements in table order, as its stack.
+    def walk(self, start: _S, labels: Sequence[_S], ends: Sequence[_S]) -> Iterator[_S]:
+        """Every tiling, depth first with placements in table order, folded
+        from per-placement output.
 
-        Each tiling comes as the positions in `tiles` of its placements, in
-        root order, so a consumer can keep its own data per placement.  The
-        list is the walk's stack, valid until the walk resumes.
+        `labels` and `ends` hold a string or a tuple for each placement, by
+        position in `tiles`, and the walk folds them along its stack.  The
+        head at depth 0 is `start`, and each placement that leaves cells
+        free adds its label: head d + 1 is head d plus the label of the
+        placement made at depth d.  A full tiling comes as its head plus the
+        end of its last placement, one concatenation however many tiles it
+        has, and consecutive tilings share the heads of their common prefix.
+        A start of `()` with `(tile,)` as both label and end gives each
+        tiling's tiles in root order; JSON pieces give its whole line.
+
+        A push copies its head, so the first tiling d tiles deep costs O(d)
+        per push.  The search stack keeps only the current head and cuts a
+        frame's label off it when the frame pops, so reaching that tiling
+        holds O(d) items, not O(d^2); a replay keeps one head per depth of
+        the subtree it replays.
 
         Each state is searched once.  The first visit tests the state's
-        placements in table order and keeps an edge (pick, child) as live
+        placements in table order and keeps an edge (label, child) as live
         when the child is the full state or its subtree yielded a tiling;
         when the state is done, its live edges are recorded, an empty
         record marking it dead.  Every later visit replays the record, with
@@ -357,54 +378,58 @@ class _Searcher:
         most the states reachable from 0, and lives only as long as the walk.
         """
         full, placements = self.full, self.placements
-        picks: list[int] = []
-        # State -> its live edges, each (pick, the child's live edges or None at the full state).
+        head = start
+        # State -> its live edges, each (label, the child's live edges) or (end, None) at the full state.
         live: dict[int, Any] = {}
-        # Each frame: state, its untried placements, its live edges so far.
-        stack = [(0, iter(placements[0]), [])]
+        # Each frame: state, its untried placements, its live edges so far,
+        # and the label of the placement that made it (`start` for state 0).
+        stack = [(0, iter(placements[0]), [], start)]
         while stack:
-            state, remaining, kept = stack[-1]
+            state, remaining, kept, _ = stack[-1]
             for mask, pick in remaining:
                 if mask & state:
                     continue
                 child = state | mask
                 if child == full:
-                    kept.append((pick, None))
-                    picks.append(pick)
-                    yield picks
-                    picks.pop()
+                    end = ends[pick]
+                    kept.append((end, None))
+                    yield head + end
                     continue
                 edges = live.get(child)
                 if edges is None:
-                    picks.append(pick)
+                    label = labels[pick]
+                    head += label
                     free = full ^ child  # the next tile is rooted at the minimal free cell
-                    stack.append((child, iter(placements[(free & -free).bit_length() - 1]), []))
+                    stack.append((child, iter(placements[(free & -free).bit_length() - 1]), [], label))
                     break
                 if not edges:
                     continue  # a dead state
-                kept.append((pick, edges))
-                picks.append(pick)
+                label = labels[pick]
+                kept.append((label, edges))
                 # Replay the child's subtree from its record, then go on here.
+                below = head + label
+                heads = [head, below]
                 replay = [iter(edges)]
                 while replay:
-                    for pick, edges in replay[-1]:
-                        picks.append(pick)
+                    for label, edges in replay[-1]:
                         if edges is None:
-                            yield picks
-                            picks.pop()
+                            yield below + label
                         else:
+                            below = below + label
+                            heads.append(below)
                             replay.append(iter(edges))
                             break
                     else:
                         replay.pop()
-                        picks.pop()
+                        heads.pop()
+                        below = heads[-1]
             else:
-                stack.pop()
+                _, _, kept, label = stack.pop()
                 live[state] = kept or ()  # every dead state shares one empty record
-                if picks:
-                    pick = picks.pop()
+                if stack:
+                    head = head[: len(head) - len(label)]
                     if kept:
-                        stack[-1][2].append((pick, kept))
+                        stack[-1][2].append((label, kept))
 
 
 _Table = tuple[_Searcher, dict[int, int]]
@@ -547,9 +572,9 @@ def count_tilings(region: Region, n: int) -> int:
 def enumerate_tilings(region: Region, n: int) -> Iterator[Tiling]:
     """Stream every tiling exactly once, in canonical (root, shape-word) order."""
     searcher = _searcher_for(region, n)
-    tile_at = searcher.tiles.__getitem__
-    for picks in searcher.walk():
-        yield Tiling(region, tuple(map(tile_at, picks)))
+    tiles = [(tile,) for tile in searcher.tiles]
+    for found in searcher.walk((), tiles, tiles):
+        yield Tiling(region, found)
 
 
 def is_tileable(region: Region, n: int) -> bool:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .enumeration import count_tilings
 from .region import build_rectangle
@@ -89,6 +88,8 @@ def a_sequence(n: int) -> list[int]:
         )
         term, rest = divmod(total, 2 * (m + 2))
         if rest:
+            from fractions import Fraction
+
             raise ArithmeticError(f"a({m}) is not an integer: {Fraction(total, 2 * (m + 2))}")
         terms.append(term)
     return terms

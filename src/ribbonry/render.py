@@ -43,20 +43,31 @@ def _letter_grids(region: Region, tiles: Sequence[Tile], tilings: Iterable[Seque
     """`tiling_to_ascii` of each tiling in `tilings`, given as positions in `tiles`.
 
     One grid is rewritten for every tiling: the tile at depth d writes
-    letter d (wrapping after the last) over its cells.  Every region cell
-    lies in some tile, so each is rewritten and none keeps a letter from an
-    earlier tiling; cells outside the region stay '.'.
+    letter d (wrapping after the last) over its cells.  A tiling that
+    begins with the same tiles as the one before keeps their letters, and
+    only its tiles from the first depth where the two differ are written.
+    Those cover every region cell the shared tiles leave, so no cell keeps
+    a letter from an earlier tiling; cells outside the region stay '.'.
+    Each tiling is compared with the one before, so a caller gives a new
+    sequence for each, never one list rewritten in place.
     """
     _, _, max_x, max_y = region.bounds
     stride = max_x + 2  # a row and its newline
     grid = bytearray(b".") * (stride * (max_y + 1) - 1)
     grid[max_x + 1 :: stride] = b"\n" * max_y
     spots = _grid_spots(tiles, max_x, max_y)
+    drawn: Sequence[int] = ()
     for picks in tilings:
-        for depth, pick in enumerate(picks):
+        depth = 0
+        for was, pick in zip(drawn, picks):
+            if was != pick:
+                break
+            depth += 1
+        for depth in range(depth, len(picks)):
             letter = _LETTER_BYTES[depth % len(_LETTER_BYTES)]
-            for spot in spots[pick]:
+            for spot in spots[picks[depth]]:
                 grid[spot] = letter
+        drawn = picks
         yield grid.decode()
 
 

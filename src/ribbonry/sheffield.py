@@ -26,12 +26,14 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .enumeration import NotTileableError, _root_levels, enumerate_tilings
 from .region import Region, Tiling
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 SAME_LEVEL = "same_level"
 FREE = "free"
@@ -534,6 +536,8 @@ def verify_growth_bounds(region: Region, n: int) -> GrowthReport:
     _, _, max_x, max_y = region.bounds
     if (max_y + 1) % n:
         raise ValueError(f"row count {max_y + 1} is not a multiple of n={n}")
+    from fractions import Fraction  # with `decimal`, about 3.5 ms of a fresh start; only this needs it
+
     graph = build_graph(region, n)
     tiles_per_level = Counter(v.level for v in graph.vertices)
     top = max(tiles_per_level)

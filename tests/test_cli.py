@@ -16,11 +16,11 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from closed_pipe import ClosedPipe
-from oracles import fib
+from oracles import fib, region_cells, tiling_to_ascii_reference, tilings_oracle
 from ribbonry import (
     NotTileableError,
     Region,
@@ -246,6 +246,18 @@ def test_enumerate_into_closed_pipe(monkeypatch, fmt, lines):
     assert pipe.getvalue().count("\n") == lines
 
 
+@pytest.mark.parametrize("lines", [1, 7, 10_000])
+def test_long_listing_into_closed_pipe(monkeypatch, lines):
+    # 4x12 n=4 lists 88,447 tilings; a closed pipe keeps exactly its first lines.
+    full = io.StringIO()
+    with redirect_stdout(full):
+        assert main(["enumerate", "--rect", "4x12", "--n", "4"]) == 0
+    pipe = ClosedPipe(lines)
+    monkeypatch.setattr("sys.stdout", pipe)
+    assert main(["enumerate", "--rect", "4x12", "--n", "4"]) == 1
+    assert pipe.getvalue() == "".join(full.getvalue().splitlines(keepends=True)[:lines])
+
+
 def test_sample_deterministic(capsys):
     code, first, _ = run(capsys, "sample", "--stair", "M=7,n=3", "--seed", "1")
     assert code == 0
@@ -299,6 +311,41 @@ def test_sample_writes_what_the_library_draws(region, n, seeds):
         for fmt, want in (("json", tiling.to_json()), ("text", tiling_to_ascii(tiling))):
             argv = ["sample", "--grid", "-", "--n", str(n), "--seed", str(seed), "--format", fmt]
             assert _main_on(argv, grid) == (0, want + "\n", ""), (argv, grid)
+
+
+@st.composite
+def _two_piece_region(draw) -> Region:
+    """Two rectangles of up to 3 by 4 cells, one column apart, the second
+    shifted up by up to 2 rows."""
+    width, height = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    cells = {(x, y) for x in range(width) for y in range(height)}
+    left, rise = width + 1, draw(st.integers(0, 2))
+    cols, rows = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    cells |= {(left + x, rise + y) for x in range(cols) for y in range(rows)}
+    return Region.from_cells(cells)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_holed_region(), _two_piece_region()), st.integers(1, 4))
+@example(parse_region(GAPPED_GRID), 2)
+@example(parse_region(DEAD_GRID), 3)  # no tiling, although its level profile allows one
+def test_listing_matches_an_independent_oracle(region, n):
+    # The oracle recurses over cell sets with no memo and shares no code with
+    # the walk; each of its tilings is dumped here with `json` alone.
+    tilings = [Tiling(region, tiles) for tiles in tilings_oracle(region_cells(region), n)]
+    grid = region.to_text()
+    want_json = "".join(
+        json.dumps(
+            {"tiles": [{"root": [t.root.x, t.root.y], "moves": t.shape.moves} for t in tiling.tiles]},
+            separators=(",", ":"),
+        )
+        + "\n"
+        for tiling in tilings
+    )
+    want_text = "".join(tiling_to_ascii_reference(tiling) + "\n\n" for tiling in tilings)
+    for fmt, want in (("json", want_json), ("text", want_text)):
+        argv = ["enumerate", "--grid", "-", "--n", str(n), "--format", fmt]
+        assert _main_on(argv, grid) == (0, want, ""), (argv, grid)
 
 
 def test_json_draws_and_listings_build_no_tiles(capsys, monkeypatch):

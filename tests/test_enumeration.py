@@ -122,7 +122,7 @@ def test_searcher_over_no_lengths():
     assert empty.placements == [[]] * region.area and empty.tiles == []
     assert empty.sweep(1, lambda v: v, max) is None
     assert empty.count() == 0
-    assert list(empty.walk()) == []
+    assert list(empty.walk((), [], [])) == []
     assert empty.completions() == {0: 0}
 
 
@@ -169,6 +169,12 @@ def test_enumerated_roots_follow_minimal_cell_rule():
 DEAD_GRID = "\n".join([".....#...", "#########", "#######.#"] + ["######..."] * 4)
 
 
+def _tilings_walked(searcher):
+    """The searcher's walk, folding each tiling's tiles into a tuple."""
+    tiles = [(tile,) for tile in searcher.tiles]
+    return searcher.walk((), tiles, tiles)
+
+
 def test_walk_expands_each_dead_state_once():
     # Without the walk's record of dead states its first-tiling search
     # entered DEAD_GRID's states 56,427 times.  The walk calls `iter` once
@@ -184,7 +190,7 @@ def test_walk_expands_each_dead_state_once():
 
     sys.setprofile(count_entries)
     try:
-        assert next(searcher.walk(), None) is None
+        assert next(_tilings_walked(searcher), None) is None
     finally:
         sys.setprofile(None)
     assert 0 < entered <= reachable == 616
@@ -211,7 +217,7 @@ def test_walk_searches_each_state_once():
         searcher = _Searcher(region, [n])
         states = len(searcher.completions())
         searcher.placements = table = _CountedTable(searcher.placements)
-        assert sum(1 for _ in searcher.walk()) == count_tilings(region, n)
+        assert sum(1 for _ in _tilings_walked(searcher)) == count_tilings(region, n)
         assert 0 < table.reads <= states
 
 
@@ -221,7 +227,7 @@ def test_first_tiling_searches_only_its_path():
     region = build_rectangle(12, 12)
     searcher = _Searcher(region, [3])
     searcher.placements = table = _CountedTable(searcher.placements)
-    assert len(next(searcher.walk())) == region.area // 3
+    assert len(next(_tilings_walked(searcher))) == region.area // 3
     assert table.reads < region.area
 
 

@@ -78,7 +78,7 @@ def test_a_command_imports_only_what_it_runs(argv, ribbonry_modules):
     result = _fresh(_COMMAND, *argv)
     code, loaded = ast.literal_eval(result.stderr)
     assert sorted(m for m in loaded if m.partition(".")[0] == "ribbonry") == ribbonry_modules
-    assert ("fractions" in loaded) == ("ribbonry.sheffield" in loaded)  # only the growth check needs it
+    assert not {"fractions", "decimal"} & set(loaded)  # only the growth check and probabilities need them
     out = io.StringIO()
     with redirect_stdout(out):
         assert main(argv) == code == 0
