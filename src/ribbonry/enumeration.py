@@ -14,13 +14,22 @@ state.  In (level, x) order, once the first free cell sits at level L no
 cell at level >= L + n can be covered yet, so the state is the occupancy
 of the band of levels [L, L + n - 1].
 
-Counting sweeps layers (`_Searcher.sweep`).  Layer i holds the states whose
+Counting sweeps layers (`_Searcher.count`).  Layer i holds the states whose
 minimal free cell is i.  A placement covers that cell, so a state's children
 all land in higher layers, and the layers are expanded in increasing i with
 no stack and no memo, each dropped once expanded, so memory is bounded by
-the live layers, not by every state visited.  `count_tilings` and
-`count_variable` carry the number of ways to reach a state;
-`count_minimal` carries (fewest tiles, ways) with a min-plus merge.
+the live layers, not by every state visited.  Each state carries the number
+of ways to reach it.  Only n-ribbon counts sweep.
+
+Ribbons of every length need no search.  Such a tiling picks for each cell
+at most one successor, its E or N neighbour, with no cell picked twice, and
+each chain of picks is a ribbon.  A pick joins levels l and l + 1, so the
+picks on each level pair are a matching of its bipartite graph: zigzag paths
+(l + 1, x) - (l, x) - (l + 1, x + 1) - (l, x + 1) - ... in (level, x) cells,
+broken where a cell is missing.  A path of k vertices has F(k + 1)
+matchings (F(1) = F(2) = 1), and its largest have floor(k / 2) edges: one
+such for even k, (k + 1) / 2 for odd k.  Tiles are cells less picks, so
+`count_variable` and `count_minimal` take linear time (`_by_level_pairs`).
 
 `count_tilings` sweeps a rectangle with n >= 3 along its long side: column
 by column when it has more columns than rows, row by row when it has more
@@ -30,16 +39,15 @@ near-squares a few more in the same time.
 
 In (level, x) order a region equal to its own transpose, (x, y) -> (y, x),
 such as a square or AD(N, 2, 0), is folded onto its mirror image.
-Transposition maps a ribbon to a ribbon and keeps every cell's level, so
-a covered set and its mirror have equally many completions, with the same
-numbers of tiles.  The sweep's answer is the sum over pending states of
-value times completions (a min-plus sum for `count_minimal`), so a value
-may move onto any state with the same completions and every count stays
-exact.  At the start of each level, every cell before it lies on a lower
-level, which transposition maps onto itself, so a state's mirror is its
-key with the cells of each level in reverse; the sweep moves every value
-of that layer onto the lesser of the state and its mirror, or onto the
-mirror's own later layer when the mirror's first free cell comes later.
+Transposition maps a ribbon to a ribbon and keeps every cell's level, so a
+covered set and its mirror have equally many completions.  The count is the
+sum over pending states of ways times completions, so ways may move onto
+any state with the same completions and the count stays exact.  At the
+start of each level, every cell before it lies on a lower level, which
+transposition maps onto itself, so a state's mirror is its key with the
+cells of each level in reverse; the sweep moves the ways of that layer onto
+the lesser of the state and its mirror, or onto the mirror's own later
+layer when the mirror's first free cell comes later.
 A 12x12 square with n = 3 sweeps 769,579 states instead of 1,134,718.
 The plan of these folds (`_Searcher.folds`) is built on a searcher's first
 sweep, so a searcher that only lists or samples never builds it.
@@ -80,8 +88,8 @@ listed.
 
 Before any search, `_searcher_for` checks the area and the tiles rooted at
 each level, which `_root_levels` reads off the level histogram.  When either
-rules every tiling out, the searcher is over no lengths and has no placement
-to try: counting returns 0, sampling raises and listing yields nothing.
+rules every tiling out, the searcher is over length 0, which no placement
+has: counting returns 0, sampling raises and listing yields nothing.
 
 A completion table depends only on the region and n, not on the seed, so
 `sample_tiling` keeps the tables of recently sampled (region, n) pairs,
@@ -112,15 +120,10 @@ from .region import Cell, Region, RibbonShape, Tile, Tiling
 if TYPE_CHECKING:
     from fractions import Fraction
 
-_V = TypeVar("_V")
 _S = TypeVar("_S", str, tuple)  # what `_Searcher.walk` folds: strings or tuples
 
 #: Table states plus region cells, summed over every entry, that the sampler's cache may keep.
 _TABLE_BUDGET = 1 << 17
-
-
-def _same(value: _V) -> _V:
-    return value
 
 
 class NotTileableError(ValueError):
@@ -128,24 +131,20 @@ class NotTileableError(ValueError):
 
 
 class _Searcher:
-    """Placement table and frontier search over one region and set of lengths.
+    """Placement table and frontier search over one region and one length n.
 
     Cells are indexed in `order`, (level, x) unless one is given; any order
     in which every cell comes before its E and N neighbours is exact (see
     the module docstring).  Listing and sampling need (level, x) order.
     Construction builds only the placement table: `tiles` and `fragments`
     are built when listing or sampling first reads them, and `folds` on the
-    first `sweep`.
+    first `count`.  A length below 1 has no placement.
     """
 
-    def __init__(
-        self, region: Region, lengths: Iterable[int], order: Iterable[Cell] | None = None
-    ) -> None:
+    def __init__(self, region: Region, n: int, order: Iterable[Cell] | None = None) -> None:
         self.region = region
-        self.lengths = frozenset(lengths)
-        if min(self.lengths, default=1) < 1:
-            raise ValueError("lengths must be positive")
-        self.max_len = max(self.lengths, default=0)
+        self.n = n
+        self.swept = 0  # states the last `count` expanded
         self.order = region.sorted_cells if order is None else tuple(order)
         self.full = (1 << region.area) - 1
         self.moves: list[str] = []  # the moves of every placement that fits, root by root
@@ -158,18 +157,15 @@ class _Searcher:
         ]
         # A ribbon climbs one level per cell, so none rises past the top level.
         top = max(region.level_histogram)
-        shortest = min(self.lengths, default=1)
         for i, (x, y) in enumerate(self.order):
-            # Canonical order: depth first, a shape before its extensions and E before N.
-            longest = min(self.max_len, top - x - y + 1)
+            # Canonical order: depth first, E before N.
             options: list[tuple[int, int]] = []
-            stack = [(i, "", 1 << i)] if longest >= shortest else []
+            stack = [(i, "", 1 << i)] if 0 < n <= top - x - y + 1 else []
             while stack:
                 at, moves, mask = stack.pop()
-                if len(moves) + 1 in self.lengths:
+                if len(moves) + 1 == n:
                     options.append((mask, len(self.moves)))
                     self.moves.append(moves)
-                if len(moves) + 1 == longest:
                     continue
                 for mv, j in steps[at]:
                     if j is not None:
@@ -178,12 +174,12 @@ class _Searcher:
 
     @cached_property
     def folds(self) -> dict[int, tuple[str, Callable[[str], Any]]]:
-        """How `sweep` finds a state's transpose mirror, by level start;
-        built on the first sweep.
+        """How `count` finds a state's transpose mirror, by level start;
+        built on the first count.
 
         Only a searcher in (level, x) order over a region equal to its own
         transpose folds; any other gets no plan.  At the start i of level L
-        a key covers the band of levels L .. L + max_len - 2, the highest a
+        a key covers the band of levels L .. L + n - 2, the highest a
         tile rooted below L reaches.  Transposition keeps each level and
         reverses the cells along it, so the mirror's key is the key with
         each level's segment of bits reversed.  The entry for i is the
@@ -193,7 +189,7 @@ class _Searcher:
         per level is left out: every state there is its own mirror.
         """
         region, order = self.region, self.order
-        if self.max_len < 2 or order != region.sorted_cells:
+        if self.n < 2 or order != region.sorted_cells:
             return {}
         if any((y, x) not in region.cells for x, y in region.cells):
             return {}
@@ -205,8 +201,8 @@ class _Searcher:
             end += cells
         plan = {}
         for k, (level, start, _) in enumerate(spans):
-            reach = level + self.max_len - 2
-            band = [(a, b) for higher, a, b in spans[k : k + self.max_len - 1] if higher <= reach]
+            reach = level + self.n - 2
+            band = [(a, b) for higher, a, b in spans[k : k + self.n - 1] if higher <= reach]
             if all(b - a == 1 for a, b in band):
                 continue
             stop = band[-1][1]
@@ -249,40 +245,29 @@ class _Searcher:
             for _, position in options
         ]
 
-    def sweep(self, start: _V, extend: Callable[[_V], _V], merge: Callable[[_V, _V], _V]) -> _V | None:
-        """The value carried from state 0 to the full state, or None if it is never reached.
+    def count(self) -> int:
+        """Number of tilings: ways to reach the full state from state 0.
 
-        Layer i holds the states whose first free cell in the searcher's
-        order is i.  Every cell before i is covered, so a state of layer i
-        is keyed by its bits from cell i up (`covered >> i`), which keeps
-        keys as wide as the frontier band, not the region.
-
-        State 0 starts with `start`.  A state passes `extend(value)` to each
-        child, and a child reached more than once merges the values with
-        `merge`.  A placement covers the minimal free cell, so every child
-        lands in a higher layer: the layers are expanded in increasing i,
-        each complete when its turn comes and dropped once its children are
-        made, so only the layers not yet expanded are ever held.
-
-        In (level, x) order over a region equal to its own transpose, each
-        level start's layer is folded before it is expanded (`folds`): a
-        state's value moves onto the lesser key of the state and its
-        mirror, or onto the mirror in its own later layer when the mirror's
-        first free cell comes later.  A state and its mirror have the same
-        completions, so every count stays exact, and squares and Aztec
-        diamonds, which (level, x) order suits, sweep fewer states.
+        Sweeps the layers in increasing i (see the module docstring), each
+        complete when its turn comes and dropped once its children are
+        made.  Every cell before i is covered, so a state of layer i is keyed
+        by its bits from cell i up (`covered >> i`), as wide as the frontier
+        band, not the region, and holds its ways from state 0.  A level
+        start's layer is folded onto mirror images first (`folds`).  `swept`
+        counts the states expanded.
         """
-        pending: defaultdict[int, dict[int, _V]] = defaultdict(dict)
-        pending[0][0] = start
+        pending: defaultdict[int, dict[int, int]] = defaultdict(dict)
+        pending[0][0] = 1
         folds = self.folds
+        swept = 0
         for i, options in enumerate(self.placements):
             layer = pending.pop(i, None)
             if layer is None:
                 continue
             if i in folds:
                 spec, reversed_segments = folds[i]
-                folded: dict[int, _V] = {}
-                for state, value in layer.items():
+                folded: dict[int, int] = {}
+                for state, ways in layer.items():
                     mirror = int("".join(reversed_segments(format(state, spec))), 2)
                     if mirror & 1:
                         # The mirror's first free cell lies further along this level.
@@ -291,11 +276,11 @@ class _Searcher:
                     else:
                         into, mirror = folded, min(state, mirror)
                     old = into.get(mirror)
-                    into[mirror] = value if old is None else merge(old, value)
+                    into[mirror] = ways if old is None else old + ways
                 layer = folded
+            swept += len(layer)
             masks = [mask >> i for mask, _ in options]
-            for state, value in layer.items():
-                value = extend(value)
+            for state, ways in layer.items():
                 for mask in masks:
                     if mask & state:
                         continue
@@ -304,14 +289,12 @@ class _Searcher:
                     step = (child ^ (child + 1)).bit_length() - 1
                     nxt = pending[i + step]
                     child >>= step
+                    # A first arrival shares its parent's int rather than a new one.
                     old = nxt.get(child)
-                    nxt[child] = value if old is None else merge(old, value)
+                    nxt[child] = ways if old is None else old + ways
+        self.swept = swept
         # Every layer below the full state's has been expanded and dropped.
-        return pending[self.region.area].get(0)
-
-    def count(self) -> int:
-        """Number of tilings: ways to reach the full state from state 0."""
-        return self.sweep(1, _same, operator.add) or 0
+        return pending[self.region.area].get(0, 0)
 
     def completions(self) -> dict[int, int]:
         """Completion counts of every state reachable from 0 but the full one.
@@ -532,12 +515,12 @@ def _root_levels(region: Region, n: int) -> dict[int, int] | None:
 
 def _searcher_for(region: Region, n: int, order: Iterable[Cell] | None = None) -> _Searcher:
     """The searcher over the region's n-ribbon tilings, its cells in `order`
-    or else in (level, x) order; over no lengths, with no placement to try,
+    or else in (level, x) order; over length 0, with no placement to try,
     when the area or the level profile already rules every tiling out."""
     if n < 1:
         raise ValueError(f"ribbon length must be positive, got {n}")
     tileable = region.area % n == 0 and _root_levels(region, n) is not None
-    return _Searcher(region, [n] if tileable else (), order)
+    return _Searcher(region, n if tileable else 0, order)
 
 
 def _counting_order(region: Region, n: int) -> tuple[Cell, ...]:
@@ -668,27 +651,36 @@ def tiling_probability(region: Region, n: int, tiling: Tiling) -> Fraction:
     return Fraction(1, count_tilings(region, n))
 
 
+def _by_level_pairs(region: Region) -> tuple[int, int, int]:
+    """(tilings, fewest tiles, tilings with that few) by ribbons of every
+    length, from the paths of each level pair (see the module docstring)."""
+    cells = region.cells
+    tilings, tiles, ways = 1, region.area, 1
+    for x, y in cells:
+        # A path steps E from its lower level and S from its upper one, so a cell
+        # starts one on the lower level without its N neighbour, on the upper without its W.
+        for east, before in ((True, (x, y + 1)), (False, (x - 1, y))):
+            if before in cells:
+                continue
+            k, at, a, b = 0, (x, y), 1, 1  # vertices so far, the next vertex, F(k + 1), F(k + 2)
+            while at in cells:
+                k, a, b = k + 1, b, a + b
+                at, east = ((at[0] + 1, at[1]) if east else (at[0], at[1] - 1)), not east
+            tilings *= a
+            tiles -= k // 2
+            if k % 2:
+                ways *= (k + 1) // 2
+    return tilings, tiles, ways
+
+
 def count_variable(region: Region) -> int:
     """Number of tilings by ribbons of any length from 1 to the region's area."""
-    return _Searcher(region, range(1, region.area + 1)).count()
-
-
-def _one_more_tile(value: tuple[int, int]) -> tuple[int, int]:
-    return (value[0] + 1, value[1])
-
-
-def _fewer_tiles(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    """Min-plus merge of (tiles, ways): the fewer tiles win, a tie adds the ways."""
-    if a[0] != b[0]:
-        return min(a, b)
-    return (a[0], a[1] + b[1])
+    return _by_level_pairs(region)[0]
 
 
 def count_minimal(region: Region) -> tuple[int, int]:
     """(fewest ribbons in any tiling, number of tilings using that few)."""
-    searcher = _Searcher(region, range(1, region.area + 1))
-    # Lengths 1..area include the monomino, so the full state is always reached.
-    return searcher.sweep((0, 1), _one_more_tile, _fewer_tiles)
+    return _by_level_pairs(region)[1:]
 
 
 def log2_big(value: int) -> float:

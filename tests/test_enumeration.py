@@ -42,6 +42,8 @@ from ribbonry import (
     log2_big,
     parse_region,
     sample_tiling,
+    stanley_fib_count,
+    stanley_minimal_count,
     tiling_probability,
     verify_bijection,
 )
@@ -115,22 +117,18 @@ def test_count_zero_cases():
 
 def test_searcher_over_no_lengths():
     region = build_rectangle(2, 3)
-    for lengths in ([0], [-1], [2, 0]):
-        with pytest.raises(ValueError, match="lengths must be positive"):
-            _Searcher(region, lengths)
-    empty = _Searcher(region, ())
-    assert empty.placements == [[]] * region.area and empty.tiles == []
-    assert empty.sweep(1, lambda v: v, max) is None
-    assert empty.count() == 0
-    assert list(empty.walk((), [], [])) == []
-    assert empty.completions() == {0: 0}
+    for n in (0, -1):
+        empty = _Searcher(region, n)
+        assert empty.placements == [[]] * region.area and empty.tiles == []
+        assert empty.count() == 0
+        assert list(empty.walk((), [], [])) == []
+        assert empty.completions() == {0: 0}
 
 
 def test_sweep_never_reaching_the_full_state_gives_none():
     # DEAD_GRID has placements but no tiling.
-    searcher = _Searcher(parse_region(DEAD_GRID), [3])
+    searcher = _Searcher(parse_region(DEAD_GRID), 3)
     assert any(searcher.placements)
-    assert searcher.sweep(1, lambda v: v, max) is None
     assert searcher.count() == 0
 
 
@@ -179,7 +177,7 @@ def test_walk_expands_each_dead_state_once():
     # Without the walk's record of dead states its first-tiling search
     # entered DEAD_GRID's states 56,427 times.  The walk calls `iter` once
     # per state it enters, to start on its placements.
-    searcher = _Searcher(parse_region(DEAD_GRID), [3])
+    searcher = _Searcher(parse_region(DEAD_GRID), 3)
     reachable = len(searcher.completions())
     entered = 0
 
@@ -214,7 +212,7 @@ def test_walk_searches_each_state_once():
         (build_rectangle(6, 6), 3),
         (build_rectangle(5, 10), 5),
     ]:
-        searcher = _Searcher(region, [n])
+        searcher = _Searcher(region, n)
         states = len(searcher.completions())
         searcher.placements = table = _CountedTable(searcher.placements)
         assert sum(1 for _ in _tilings_walked(searcher)) == count_tilings(region, n)
@@ -225,7 +223,7 @@ def test_first_tiling_searches_only_its_path():
     # The walk keeps no table built up front: 12x12 n=3 has 1,134,718 states,
     # and the first tiling needs one state per tile placed before the last.
     region = build_rectangle(12, 12)
-    searcher = _Searcher(region, [3])
+    searcher = _Searcher(region, 3)
     searcher.placements = table = _CountedTable(searcher.placements)
     assert len(next(_tilings_walked(searcher))) == region.area // 3
     assert table.reads < region.area
@@ -233,15 +231,14 @@ def test_first_tiling_searches_only_its_path():
 
 def test_placements_at_canonical_order():
     region = build_rectangle(3, 3)
-    for lengths, at_origin in (([3], ["EE", "EN", "NE", "NN"]), ([1, 2], ["", "E", "N"])):
-        searcher = _Searcher(region, lengths)
-        tiles = [searcher.tiles[p] for _, p in searcher.placements[0]]
-        assert [t.shape.moves for t in tiles] == at_origin
-        # Positions run root by root through the whole of `tiles`.
-        positions = [p for options in searcher.placements for _, p in options]
-        assert positions == list(range(len(searcher.tiles)))
-        for i, options in enumerate(searcher.placements):
-            assert all(searcher.tiles[p].root == searcher.order[i] for _, p in options)
+    searcher = _Searcher(region, 3)
+    tiles = [searcher.tiles[p] for _, p in searcher.placements[0]]
+    assert [t.shape.moves for t in tiles] == ["EE", "EN", "NE", "NN"]
+    # Positions run root by root through the whole of `tiles`.
+    positions = [p for options in searcher.placements for _, p in options]
+    assert positions == list(range(len(searcher.tiles)))
+    for i, options in enumerate(searcher.placements):
+        assert all(searcher.tiles[p].root == searcher.order[i] for _, p in options)
 
 
 def test_is_tileable_matches_count():
@@ -480,7 +477,7 @@ def test_concurrent_draws_match_single_thread_draws(monkeypatch):
 def test_count_memory_does_not_grow_with_strip_length():
     peaks = []
     for cols in (60, 240):
-        searcher = _Searcher(build_rectangle(4, cols), [4])
+        searcher = _Searcher(build_rectangle(4, cols), 4)
         tracemalloc.start()
         try:
             searcher.count()
@@ -567,7 +564,7 @@ def test_domino_counts_at_scale_match_kasteleyn(region):
 @example({(x, y) for x in range(3) for y in range(3)} - {(1, 1)}, 2)  # a hole
 @example({(x, y) for x in range(5) for y in range(2)} - {(2, 0), (2, 1)}, 2)  # two pieces
 def test_completion_table_holds_every_reachable_state(cells, n):
-    searcher = _Searcher(Region.from_cells(cells), [n])
+    searcher = _Searcher(Region.from_cells(cells), n)
     table = searcher.completions()
     # The states reachable from 0, each placing a tile at its minimal free cell.
     reachable, todo = {0}, [0]
@@ -596,22 +593,21 @@ _CELL_ORDERS = {
 @settings(max_examples=80, deadline=None)
 @given(
     _holed_rectangles().filter(bool),
-    st.sampled_from([[1], [2], [3], [4], [2, 3], [1, 2, 3, 4]]),
+    st.integers(1, 4),
     st.sampled_from(sorted(_CELL_ORDERS)),
 )
-@example({(x, y) for x in range(3) for y in range(3)} - {(1, 1)}, [2], "level")  # a hole
-def test_placement_table_matches_oracle(cells, lengths, order):
+@example({(x, y) for x in range(3) for y in range(3)} - {(1, 1)}, 2, "level")  # a hole
+def test_placement_table_matches_oracle(cells, n, order):
     region = Region.from_cells(cells)
-    searcher = _Searcher(region, lengths, _CELL_ORDERS[order](region))
+    searcher = _Searcher(region, n, _CELL_ORDERS[order](region))
     index = {cell: i for i, cell in enumerate(searcher.order)}
-    # Every E/N word of those lengths that fits, at each root in turn; a
-    # string sort puts E before N and a word before its extensions.
+    # Every E/N word of length n that fits, at each root in turn; a string
+    # sort puts E before N.
     moves, placements = [], []
     for root in searcher.order:
         words = sorted(
             "".join(word)
-            for length in lengths
-            for word in itertools.product("EN", repeat=length - 1)
+            for word in itertools.product("EN", repeat=n - 1)
             if all(cell in index for cell in ribbon_cells(root, word))
         )
         options = []
@@ -649,7 +645,7 @@ def test_level_profile_rules_out_only_untileable_regions(cells, n):
     region = Region.from_cells(cells)
     profile = enumeration._root_levels(region, n)
     # The sweep, without the early zero that count_tilings takes.
-    count = _Searcher(region, [n]).count()
+    count = _Searcher(region, n).count()
     if profile is None:
         assert count == 0
     elif count:
@@ -680,10 +676,10 @@ def test_level_profile_agrees_with_the_rectangle_closed_form():
 
 
 def _assert_no_placement_tried(built: list) -> None:
-    """Each searcher is over no lengths, so its search has no placement to try."""
+    """Each searcher is over length 0, so its search has no placement to try."""
     assert built
     for searcher in built:
-        assert not searcher.lengths and not any(searcher.placements)
+        assert searcher.n == 0 and not any(searcher.placements)
 
 
 def test_level_profile_answers_without_a_search(monkeypatch):
@@ -743,10 +739,10 @@ def _cell_orders(region):
 @example({(0, 0), (0, 1), (0, 2), (1, 0)}, 2)
 def test_counts_agree_in_every_cell_order(cells, n):
     region = Region.from_cells(cells)
-    want = _Searcher(region, [n]).count()
-    base = set(_Searcher(region, [n]).tiles)
+    want = _Searcher(region, n).count()
+    base = set(_Searcher(region, n).tiles)
     for name, order in _cell_orders(region).items():
-        searcher = _Searcher(region, [n], order)
+        searcher = _Searcher(region, n, order)
         assert searcher.count() == want, name
         # The same placements fit, whatever the order numbers them by.
         assert set(searcher.tiles) == base, name
@@ -792,13 +788,13 @@ GAPPED = {(0, 0), (1, 0), (0, 1), (1, 1), (3, 3), (4, 3), (3, 4), (4, 4)}
 @example(PUSHED_ON[0], 2)
 @example(PUSHED_ON[1], 3)
 @example(PUSHED_ON[2], 2)
-@example({(0, 0), (2, 2)}, 2)  # a missing level; ruled out, so a searcher over no lengths
+@example({(0, 0), (2, 2)}, 2)  # a missing level; ruled out, so a searcher over length 0
 @example(GAPPED, 2)
 def test_folded_counts_match_oracle(cells, n):
     region = Region.from_cells(cells)
     want = count_tilings_oracle(region_cells(region), (n,), {})
     assert count_tilings(region, n) == want
-    column = _Searcher(region, [n], _cell_orders(region)["column"])
+    column = _Searcher(region, n, _cell_orders(region)["column"])
     # Only an order that is (level, x) all along folds.
     assert column.order == region.sorted_cells or not column.folds
     assert column.count() == want
@@ -816,18 +812,42 @@ def test_folded_variable_and_minimal_counts_match_oracle(cells):
     assert count_minimal(region) == minimal_tilings_oracle(region_cells(region))
 
 
+@pytest.mark.parametrize(
+    "rows, cols",
+    [(rows, cols) for rows in range(1, 13) for cols in range(1, 13)] + [(1, 500), (40, 60), (100, 100)],
+)
+def test_variable_and_minimal_counts_match_the_closed_forms(rows, cols):
+    # Far past the sizes any search over ribbons of every length reaches;
+    # 1x1 is the single cell.
+    region = build_rectangle(rows, cols)
+    assert count_variable(region) == stanley_fib_count(rows, cols)
+    assert count_minimal(region) == stanley_minimal_count(rows, cols)
+
+
+def test_variable_and_minimal_counts_multiply_across_a_missing_level():
+    # Two 2x2 blocks with levels 3 to 5 empty between them count independently.
+    gapped = Region.from_cells(GAPPED)
+    assert count_variable(gapped) == stanley_fib_count(2, 2) ** 2 == 81
+    assert count_minimal(gapped) == (4, stanley_minimal_count(2, 2)[1] ** 2) == (4, 16)
+
+
+def test_variable_and_minimal_counts_run_no_search(monkeypatch):
+    region = parse_region("####\n#..#\n####")  # a ring around a two-cell hole
+
+    def no_searcher(*args):
+        raise AssertionError("built a searcher for a count over every length")
+
+    monkeypatch.setattr(enumeration, "_Searcher", no_searcher)
+    sizes = tilings_by_size_oracle(region_cells(region), {})
+    assert count_variable(region) == sum(sizes.values())
+    assert count_minimal(region) == minimal_tilings_oracle(region_cells(region))
+
+
 def _states_swept(region, n):
     """States the counting sweep expands for (region, n), in its counting order."""
     searcher = enumeration._searcher_for(region, n, enumeration._counting_order(region, n))
-    swept = 0
-
-    def extend(value):
-        nonlocal swept
-        swept += 1
-        return value
-
-    assert searcher.sweep(1, extend, lambda a, b: a + b) == count_tilings(region, n)
-    return swept
+    assert searcher.count() == count_tilings(region, n)
+    return searcher.swept
 
 
 BAND = "\n".join("." * (11 - row) + "#" * 8 + "." * row for row in range(12))

@@ -122,7 +122,7 @@ def test_sample_golden(region, n, seed, digest):
 @pytest.mark.parametrize("region,n,size,digest", COMPLETION_TABLE_GOLDENS)
 def test_completion_table_golden(region, n, size, digest):
     # The size is what the sampler's cache charges against its budget.
-    table = _Searcher(region, [n]).completions()
+    table = _Searcher(region, n).completions()
     assert len(table) == size
     assert sha256(repr(sorted(table.items()))) == digest
 
