@@ -8,18 +8,19 @@ be rooted there (a root earlier in the order would itself be a free cell
 before it), which makes the search exhaustive and duplicate-free.  Three
 such orders are used: (level, x), row-major (y, x) and column-major (x, y).
 
-Every cell before the first free cell is covered, so the covered bitmask,
-with cells indexed in the order, is all ones below it and identifies the
-state.  In (level, x) order, once the first free cell sits at level L no
-cell at level >= L + n can be covered yet, so the state is the occupancy
-of the band of levels [L, L + n - 1].
+Every cell before the first free cell i is covered, so every search keys a
+state by its layer i and its band, the covered bits from cell i up.  A
+placement's mask has its root as bit 0: at i it is tested against the band
+as it is, and if the child `band | mask` has its `step` lowest bits set, it
+is band `child >> step` of layer i + step.  The full state is layer `area`.
+In (level, x) order, once the first free cell sits at level L no cell at
+level >= L + n can be covered yet, so the band spans levels [L, L + n - 1].
 
-Counting sweeps layers (`_Searcher.count`).  Layer i holds the states whose
-minimal free cell is i.  A placement covers that cell, so a state's children
-all land in higher layers, and the layers are expanded in increasing i with
-no stack and no memo, each dropped once expanded, so memory is bounded by
-the live layers, not by every state visited.  Each state carries the number
-of ways to reach it.  Only n-ribbon counts sweep.
+Counting sweeps the layers (`_Searcher.count`).  A placement covers cell i,
+so a state's children all land in higher layers, and the layers are
+expanded in increasing i with no stack and no memo, each dropped once
+expanded, so memory is bounded by the live layers, not by every state
+visited.  Each state carries the number of ways to reach it.
 
 Ribbons of every length need no search.  Such a tiling picks for each cell
 at most one successor, its E or N neighbour, with no cell picked twice, and
@@ -57,34 +58,33 @@ search from state 0 on an explicit stack.  It memoises the number of
 completions of every state it reaches, a dead end as 0, so each state is
 searched once, and a state's count is known when its last child's is.
 
-Every search reads one placement table, built once by `_Searcher` from
-each cell's N and E neighbour indices, looked up once per cell: `moves`
-lists the steps of every placement that fits, and `placements[i]` pairs
-the mask of each one rooted at cell i with its position in `moves`.  Two
-per-placement outputs are built on first read, by position: `tiles`, the
-`Tile`s that `enumerate_tilings`, `sample_tiling` and text output read,
-and `fragments`, each placement's JSON, from which the CLI writes the
-lines of `enumerate` and `sample` without building a `Tile`.  The enumeration
-walk (`_Searcher.walk`) needs no counts and builds nothing up front.  It
-keeps its own explicit stack and searches each state once: it records the
-state's live edges, the placements that lead to a tiling, and replays them
-on every later visit, so it never tests a placement twice nor enters a dead
-state.  The record costs one edge list per searched state, at most the
-states reachable from 0.  The walk folds per-placement output along its
-stack: a caller passes a start and a label and an end for each placement,
-each push adds its placement's label to the head of the depth above, and
-each full tiling yields its head plus its last placement's end.  So
-consecutive tilings share the output of their common prefix, and each is
-built with one concatenation.  `enumerate_tilings` folds 1-tuples of
-`Tile`s into each tiling's tiles, the CLI's JSON listing folds `fragments`
-with their separators into each whole line, and its text listing folds
-1-tuples of positions for `_letter_grids`.  A draw (`_descend`) returns
-the positions of its placements in root order, which `sample_tiling`
-turns into a `Tiling` and the CLI's `sample` into one line of
-`fragments`.  Listing and sampling search in (level, x) order,
-which fixes the canonical listing order and each seed's tiling.  No search
-recurses, so region size, not search depth, bounds what can be counted or
-listed.
+Every search reads one placement table, built once by `_Searcher` from each
+cell's N and E neighbour indices, looked up once per cell: `moves` lists the
+steps of every placement that fits, and `placements[i]` pairs the mask of
+each one rooted at cell i with its position in `moves`.  Two per-placement
+outputs are built on first read, by position: `tiles`, the `Tile`s that
+`enumerate_tilings`, `sample_tiling` and text output read, and `fragments`,
+each placement's JSON, from which the CLI writes the lines of `enumerate`
+and `sample` without building a `Tile`.  The enumeration walk
+(`_Searcher.walk`) needs no counts and builds nothing up front.  It keeps
+its own explicit stack and searches each state once: it records the state's
+live edges, the placements that lead to a tiling, and replays them on every
+later visit, so it never tests a placement twice nor enters a dead state.
+The record costs one edge list per searched state, at most the states
+reachable from 0.  The walk folds per-placement output along its stack: a
+caller passes a start and a label and an end for each placement, each push
+adds its placement's label to the head of the depth above, and each full
+tiling yields its head plus its last placement's end.  So consecutive
+tilings share the output of their common prefix, and each is built with one
+concatenation.  `enumerate_tilings` folds 1-tuples of `Tile`s into each
+tiling's tiles, the CLI's JSON listing folds `fragments` with their
+separators into each whole line, and its text listing folds 1-tuples of
+positions for `_letter_grids`.  A draw (`_descend`) returns the positions of
+its placements in root order, which `sample_tiling` turns into a `Tiling`
+and the CLI's `sample` into one line of `fragments`.  Listing and sampling
+search in (level, x) order, which fixes the canonical listing order and each
+seed's tiling.  No search recurses, so region size, not search depth, bounds
+what can be counted or listed.
 
 Before any search, `_searcher_for` checks the area and the tiles rooted at
 each level, which `_root_levels` reads off the level histogram.  When either
@@ -93,16 +93,15 @@ has: counting returns 0, sampling raises and listing yields nothing.
 
 A completion table depends only on the region and n, not on the seed, so
 `sample_tiling` keeps the tables of recently sampled (region, n) pairs,
-least recently used first out.  Each entry is charged its table states
-plus its region's cells, since the region and its searcher grow with the
-area, up to `_TABLE_BUDGET` in all; an entry charged more than the whole
-budget is not kept.  An entry holds its searcher, so a region's
-`fragments` are built once while its entry is kept.  Threads that miss on
-the same (region, n) at once build its table once: the first builds it
-and the others wait for it.  A draw reads the same complete
-table whether or not it was cached, so each seed gives the same tiling.
-Counting and enumeration never use these tables, and a new process starts
-with none.
+least recently used first out.  Each entry is charged its table states plus
+its region's cells, since the region and its searcher grow with the area, up
+to `_TABLE_BUDGET` in all; an entry charged more than the whole budget is
+not kept.  An entry holds its searcher, so a region's `fragments` are built
+once while its entry is kept.  Threads that miss on the same (region, n) at
+once build its table once: the first builds it and the others wait for it.
+A draw reads the same complete table whether or not it was cached, so each
+seed gives the same tiling.  Counting and enumeration never use these
+tables, and a new process starts with none.
 """
 
 from __future__ import annotations
@@ -136,9 +135,11 @@ class _Searcher:
     Cells are indexed in `order`, (level, x) unless one is given; any order
     in which every cell comes before its E and N neighbours is exact (see
     the module docstring).  Listing and sampling need (level, x) order.
-    Construction builds only the placement table: `tiles` and `fragments`
-    are built when listing or sampling first reads them, and `folds` on the
-    first `count`.  A length below 1 has no placement.
+    Every search keys a state by (layer, band) and steps from it by the
+    root-relative masks of `placements[layer]`.  Construction builds only
+    the placement table: `tiles` and `fragments` are built when listing or
+    sampling first reads them, and `folds` on the first `count`.  A length
+    below 1 has no placement.
     """
 
     def __init__(self, region: Region, n: int, order: Iterable[Cell] | None = None) -> None:
@@ -146,7 +147,6 @@ class _Searcher:
         self.n = n
         self.swept = 0  # states the last `count` expanded
         self.order = region.sorted_cells if order is None else tuple(order)
-        self.full = (1 << region.area) - 1
         self.moves: list[str] = []  # the moves of every placement that fits, root by root
         self.placements: list[list[tuple[int, int]]] = []
         index = {c: i for i, c in enumerate(self.order)}
@@ -160,7 +160,7 @@ class _Searcher:
         for i, (x, y) in enumerate(self.order):
             # Canonical order: depth first, E before N.
             options: list[tuple[int, int]] = []
-            stack = [(i, "", 1 << i)] if 0 < n <= top - x - y + 1 else []
+            stack = [(i, "", 1)] if 0 < n <= top - x - y + 1 else []
             while stack:
                 at, moves, mask = stack.pop()
                 if len(moves) + 1 == n:
@@ -169,7 +169,7 @@ class _Searcher:
                     continue
                 for mv, j in steps[at]:
                     if j is not None:
-                        stack.append((j, moves + mv, mask | (1 << j)))
+                        stack.append((j, moves + mv, mask | (1 << (j - i))))
             self.placements.append(options)
 
     @cached_property
@@ -250,11 +250,9 @@ class _Searcher:
 
         Sweeps the layers in increasing i (see the module docstring), each
         complete when its turn comes and dropped once its children are
-        made.  Every cell before i is covered, so a state of layer i is keyed
-        by its bits from cell i up (`covered >> i`), as wide as the frontier
-        band, not the region, and holds its ways from state 0.  A level
-        start's layer is folded onto mirror images first (`folds`).  `swept`
-        counts the states expanded.
+        made.  Layer i maps each band to its state's ways from state 0.  A
+        level start's layer is folded onto mirror images first (`folds`).
+        `swept` counts the states expanded.
         """
         pending: defaultdict[int, dict[int, int]] = defaultdict(dict)
         pending[0][0] = 1
@@ -279,7 +277,7 @@ class _Searcher:
                     into[mirror] = ways if old is None else old + ways
                 layer = folded
             swept += len(layer)
-            masks = [mask >> i for mask, _ in options]
+            masks = [mask for mask, _ in options]  # unpacking each pair per state costs more
             for state, ways in layer.items():
                 for mask in masks:
                     if mask & state:
@@ -296,39 +294,38 @@ class _Searcher:
         # Every layer below the full state's has been expanded and dropped.
         return pending[self.region.area].get(0, 0)
 
-    def completions(self) -> dict[int, int]:
+    def completions(self) -> list[dict[int, int]]:
         """Completion counts of every state reachable from 0 but the full one.
 
-        The table is keyed by the covered bitmask, and a dead end counts 0.
-        It is filled by one depth-first search from state 0 on an explicit
-        stack: a child already in the table adds its count without being
-        searched again, and a state's count goes in when its frame pops,
-        after every child's.
+        `table[i][band]` is keyed as `count` keys its layers, for each layer
+        below the full state's, and a dead end counts 0.  It is filled by one
+        depth-first search from state 0 on an explicit stack: a child
+        already in the table adds its count without being searched again,
+        and a state's count goes in when its frame pops, after every child's.
         """
-        full, placements = self.full, self.placements
-        table = {full: 1}
-        # Each frame: state, its untried placements, its completions so far.
-        stack = [[0, iter(placements[0]), 0]]
+        placements, area = self.placements, self.region.area
+        table: list[dict[int, int]] = [{} for _ in range(area)]
+        # Each frame: layer, band, its untried placements, its completions so far.
+        stack = [[0, 0, iter(placements[0]), 0]]
         while stack:
-            frame = stack[-1]
-            state, remaining, total = frame
+            i, band, remaining, total = frame = stack[-1]
             for mask, _ in remaining:
-                if mask & state:
+                if mask & band:
                     continue
-                child = state | mask
-                known = table.get(child)
+                child = band | mask
+                step = (child ^ (child + 1)).bit_length() - 1
+                j, child = i + step, child >> step
+                known = 1 if j == area else table[j].get(child)
                 if known is None:
-                    frame[2] = total
-                    free = full ^ child  # the next tile is rooted at the minimal free cell
-                    stack.append([child, iter(placements[(free & -free).bit_length() - 1]), 0])
+                    frame[3] = total
+                    stack.append([j, child, iter(placements[j]), 0])
                     break
                 total += known
             else:
                 stack.pop()
-                table[state] = total
+                table[i][band] = total
                 if stack:
-                    stack[-1][2] += total
-        del table[full]
+                    stack[-1][3] += total
         return table
 
     def walk(self, start: _S, labels: Sequence[_S], ends: Sequence[_S]) -> Iterator[_S]:
@@ -357,33 +354,33 @@ class _Searcher:
         when the state is done, its live edges are recorded, an empty
         record marking it dead.  Every later visit replays the record, with
         no mask test, and never enters a dead state, so the tilings come in
-        the same order.  The record is one edge list per searched state, at
-        most the states reachable from 0, and lives only as long as the walk.
+        the same order.  The record, keyed by (layer, band), is one edge list
+        per searched state, at most those reachable from 0, for the walk only.
         """
-        full, placements = self.full, self.placements
+        placements, area = self.placements, self.region.area
         head = start
-        # State -> its live edges, each (label, the child's live edges) or (end, None) at the full state.
-        live: dict[int, Any] = {}
-        # Each frame: state, its untried placements, its live edges so far,
-        # and the label of the placement that made it (`start` for state 0).
-        stack = [(0, iter(placements[0]), [], start)]
+        # live[i][band]: live edges, each (label, the child's live edges) or (end, None) at the full state.
+        live: list[dict[int, Any]] = [{} for _ in range(area)]
+        # Each frame: layer, band, untried placements, live edges so far, the label that made it.
+        stack = [(0, 0, iter(placements[0]), [], start)]
         while stack:
-            state, remaining, kept, _ = stack[-1]
+            i, band, remaining, kept, _ = stack[-1]
             for mask, pick in remaining:
-                if mask & state:
+                if mask & band:
                     continue
-                child = state | mask
-                if child == full:
+                child = band | mask
+                step = (child ^ (child + 1)).bit_length() - 1
+                j, child = i + step, child >> step
+                if j == area:
                     end = ends[pick]
                     kept.append((end, None))
                     yield head + end
                     continue
-                edges = live.get(child)
+                edges = live[j].get(child)
                 if edges is None:
                     label = labels[pick]
                     head += label
-                    free = full ^ child  # the next tile is rooted at the minimal free cell
-                    stack.append((child, iter(placements[(free & -free).bit_length() - 1]), [], label))
+                    stack.append((j, child, iter(placements[j]), [], label))
                     break
                 if not edges:
                     continue  # a dead state
@@ -407,15 +404,15 @@ class _Searcher:
                         heads.pop()
                         below = heads[-1]
             else:
-                _, _, kept, label = stack.pop()
-                live[state] = kept or ()  # every dead state shares one empty record
+                _, _, _, kept, label = stack.pop()
+                live[i][band] = kept or ()  # every dead state shares one empty record
                 if stack:
                     head = head[: len(head) - len(label)]
                     if kept:
-                        stack[-1][2].append((label, kept))
+                        stack[-1][3].append((label, kept))
 
 
-_Table = tuple[_Searcher, dict[int, int]]
+_Table = tuple[_Searcher, list[dict[int, int]]]
 
 
 class _Build:
@@ -430,8 +427,9 @@ class _Build:
 class _TableCache:
     """Searchers and completion tables of recently sampled (region, n), least recent first.
 
-    An entry holds its searcher, so what the searcher builds on first use,
-    such as its `fragments`, is built once per kept entry.
+    A table is keyed by (layer, band).  An entry holds its searcher, so
+    what the searcher builds on first use, such as its `fragments`, is
+    built once per kept entry.
     """
 
     def __init__(self) -> None:
@@ -483,7 +481,7 @@ class _TableCache:
 def _charge(key: tuple[Region, int], entry: _Table) -> int:
     """What a cache entry counts against the budget: its table states plus
     its region's cells, since the region and its searcher grow with the area."""
-    return len(entry[1]) + key[0].area
+    return sum(map(len, entry[1])) + key[0].area
 
 
 _tables = _TableCache()
@@ -599,33 +597,35 @@ def _draw(region: Region, n: int, seed: int) -> tuple[_Searcher, list[int]]:
     if region.area % n:
         raise NotTileableError(f"area {region.area} is not a multiple of {n}")
     searcher, table = _tables.get(region, n)
-    if table[0] == 0:
+    if table[0][0] == 0:
         raise NotTileableError(f"region of area {region.area} has no {n}-ribbon tiling")
     return searcher, _descend(searcher, table, random.Random(seed).randrange)
 
 
-def _descend(searcher: _Searcher, table: dict[int, int], choose: Callable[[int], int]) -> list[int]:
+def _descend(searcher: _Searcher, table: list[dict[int, int]], choose: Callable[[int], int]) -> list[int]:
     """The positions of the placements of one tiling, in root order.
 
     From state 0, each step calls `choose(remaining)` once, for the number
     of completions left, and takes the placement at the minimal free cell
     whose completions hold the chosen index, walking them in table order.
-    `table` must be the searcher's `completions`, with a tiling from 0.
+    `table` must be the searcher's `completions`, with a tiling from 0,
+    read by (layer, band); the full state, layer `area`, counts 1.
     """
-    full, placements = searcher.full, searcher.placements
+    placements, area = searcher.placements, searcher.region.area
     picks: list[int] = []
-    covered, free = 0, full
-    remaining = table[0]
-    while free:
+    i, band, remaining = 0, 0, table[0][0]
+    while i < area:
         index = choose(remaining)
-        for mask, position in placements[(free & -free).bit_length() - 1]:
-            if mask & covered:
+        for mask, position in placements[i]:
+            if mask & band:
                 continue
-            child = covered | mask
-            weight = 1 if child == full else table[child]
+            child = band | mask
+            step = (child ^ (child + 1)).bit_length() - 1
+            j, child = i + step, child >> step
+            weight = 1 if j == area else table[j][child]
             if index < weight:
                 picks.append(position)
-                covered, free, remaining = child, free ^ mask, weight
+                i, band, remaining = j, child, weight
                 break
             index -= weight
         else:

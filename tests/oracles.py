@@ -10,6 +10,8 @@ Domino counts on simply connected regions also come from the Kasteleyn
 determinant, with no search at all.  The picture references draw one tile at
 a time, as the package first did: a letter grid from a cell -> tile dict and
 an SVG whose outline is traced anew from every tile's own cells.
+`absolute_states` reads the sampler's layered completion table as one dict
+keyed by covered masks, the form its oracles and digests were written for.
 """
 
 from __future__ import annotations
@@ -95,6 +97,13 @@ def tilings_oracle(cells: frozenset[tuple[int, int]], n: int) -> list[tuple[Tile
 
     extend(frozenset(cells))
     return out
+
+
+def absolute_states(table: list[dict[int, int]]) -> dict[int, int]:
+    """A completion table keyed by each state's covered mask over the whole
+    order: `table[i][band]` is the state with every cell before i covered and
+    `band` holding its bits from cell i up."""
+    return {((1 << i) - 1) | band << i: count for i, layer in enumerate(table) for band, count in layer.items()}
 
 
 def region_cells(region) -> frozenset[tuple[int, int]]:

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    absolute_states,
     count_tilings_oracle,
     fib,
     kasteleyn_count,
@@ -122,7 +123,7 @@ def test_searcher_over_no_lengths():
         assert empty.placements == [[]] * region.area and empty.tiles == []
         assert empty.count() == 0
         assert list(empty.walk((), [], [])) == []
-        assert empty.completions() == {0: 0}
+        assert absolute_states(empty.completions()) == {0: 0}
 
 
 def test_sweep_never_reaching_the_full_state_gives_none():
@@ -178,7 +179,7 @@ def test_walk_expands_each_dead_state_once():
     # entered DEAD_GRID's states 56,427 times.  The walk calls `iter` once
     # per state it enters, to start on its placements.
     searcher = _Searcher(parse_region(DEAD_GRID), 3)
-    reachable = len(searcher.completions())
+    reachable = len(absolute_states(searcher.completions()))
     entered = 0
 
     def count_entries(frame, event, arg):
@@ -213,7 +214,7 @@ def test_walk_searches_each_state_once():
         (build_rectangle(5, 10), 5),
     ]:
         searcher = _Searcher(region, n)
-        states = len(searcher.completions())
+        states = len(absolute_states(searcher.completions()))
         searcher.placements = table = _CountedTable(searcher.placements)
         assert sum(1 for _ in _tilings_walked(searcher)) == count_tilings(region, n)
         assert 0 < table.reads <= states
@@ -397,7 +398,7 @@ def test_table_cache_stays_within_budget(monkeypatch):
     for (region, n), kept in steps:
         sample_tiling(region, n, seed=0)
         assert list(cache.tables) == kept
-        charges = [len(table) + region.area for (region, _), (_, table) in cache.tables.items()]
+        charges = [len(absolute_states(table)) + region.area for (region, _), (_, table) in cache.tables.items()]
         assert cache.charge == sum(charges) <= 160
 
 
@@ -431,7 +432,8 @@ def test_completion_tables_match_counts_of_what_is_left(monkeypatch):
     dead_ends = 0
     for region, n, size in regions:
         searcher, table = enumeration._tables.get(region, n)
-        assert len(table) == size and searcher.full not in table
+        table = absolute_states(table)
+        assert len(table) == size and (1 << region.area) - 1 not in table
         assert table[0] == count_tilings(region, n)
         for state, completions in table.items():
             left = [cell for i, cell in enumerate(searcher.order) if not state >> i & 1]
@@ -486,6 +488,20 @@ def test_count_memory_does_not_grow_with_strip_length():
             tracemalloc.stop()
     # Four times the states are visited; the live frontier stays the same.
     assert peaks[1] < 2 * peaks[0], peaks
+
+
+def test_whole_strip_count_memory_grows_linearly():
+    # The searcher is built inside the trace: its placement table grows with
+    # the area, so a strip four times as long may take four times the memory.
+    peaks = []
+    for cols in (2000, 8000):
+        tracemalloc.start()
+        try:
+            assert count_tilings(build_rectangle(2, cols), 2) > 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 5 * peaks[0], peaks
 
 
 def test_tiling_probability_exactly_uniform():
@@ -565,19 +581,22 @@ def test_domino_counts_at_scale_match_kasteleyn(region):
 @example({(x, y) for x in range(5) for y in range(2)} - {(2, 0), (2, 1)}, 2)  # two pieces
 def test_completion_table_holds_every_reachable_state(cells, n):
     searcher = _Searcher(Region.from_cells(cells), n)
-    table = searcher.completions()
-    # The states reachable from 0, each placing a tile at its minimal free cell.
+    table = absolute_states(searcher.completions())
+    full = (1 << len(searcher.order)) - 1
+    # The states reachable from 0, each placing a tile at its minimal free
+    # cell; a placement's mask is relative to its root.
     reachable, todo = {0}, [0]
     while todo:
         state = todo.pop()
-        if state == searcher.full:
+        if state == full:
             continue
         root = next(i for i in range(len(searcher.order)) if not state >> i & 1)
         for mask, _ in searcher.placements[root]:
+            mask <<= root
             if not mask & state and state | mask not in reachable:
                 reachable.add(state | mask)
                 todo.append(state | mask)
-    assert table.keys() == reachable - {searcher.full}
+    assert table.keys() == reachable - {full}
     for state, completions in table.items():
         left = [cell for i, cell in enumerate(searcher.order) if not state >> i & 1]
         assert completions == count_tilings(Region.from_cells(left), n), state
@@ -602,9 +621,10 @@ def test_placement_table_matches_oracle(cells, n, order):
     searcher = _Searcher(region, n, _CELL_ORDERS[order](region))
     index = {cell: i for i, cell in enumerate(searcher.order)}
     # Every E/N word of length n that fits, at each root in turn; a string
-    # sort puts E before N.
+    # sort puts E before N.  A mask has bit 0 at its root.
     moves, placements = [], []
     for root in searcher.order:
+        at = index[root]
         words = sorted(
             "".join(word)
             for word in itertools.product("EN", repeat=n - 1)
@@ -612,7 +632,7 @@ def test_placement_table_matches_oracle(cells, n, order):
         )
         options = []
         for word in words:
-            options.append((sum(1 << index[cell] for cell in ribbon_cells(root, word)), len(moves)))
+            options.append((sum(1 << (index[cell] - at) for cell in ribbon_cells(root, word)), len(moves)))
             moves.append(word)
         placements.append(options)
     assert searcher.moves == moves

@@ -17,6 +17,7 @@ import json
 import pytest
 
 from closed_pipe import ClosedPipe
+from oracles import absolute_states
 from ribbonry import (
     build_aztec,
     build_graph,
@@ -62,8 +63,9 @@ SAMPLE_GOLDENS = [
 ]
 
 # The bench's `sample` regions and 8x8 n=4: table size and the digest of
-# `repr(sorted(table.items()))`, recorded from the two-pass table build (a
-# forward sweep that kept its layers, then a back pass over them).
+# `repr(sorted(table.items()))`, the table keyed by covered masks, recorded
+# from the two-pass table build (a forward sweep that kept its layers, then a
+# back pass over them).
 COMPLETION_TABLE_GOLDENS = [
     (build_rectangle(3, 3), 3, 11, "55532671fd14b8ce84929f5235f0c9157728da78dc10c336928f291ec20067a0"),
     (build_rectangle(3, 7), 3, 43, "188f2ce9f8269e117c5f400e28f1693b6fc8f815f68283854513797c321fc832"),
@@ -122,7 +124,7 @@ def test_sample_golden(region, n, seed, digest):
 @pytest.mark.parametrize("region,n,size,digest", COMPLETION_TABLE_GOLDENS)
 def test_completion_table_golden(region, n, size, digest):
     # The size is what the sampler's cache charges against its budget.
-    table = _Searcher(region, n).completions()
+    table = absolute_states(_Searcher(region, n).completions())
     assert len(table) == size
     assert sha256(repr(sorted(table.items()))) == digest
 
