@@ -72,6 +72,14 @@ def test_count_zero_is_success(capsys):
     assert payload == {"count": "0", "tiles": None, "entropy": None}
 
 
+def test_count_a7_rectangle(capsys):
+    # a_7 of A115047: 7-ribbon tilings of the 7x14 rectangle.
+    code, out, err = run(capsys, "count", "--rect", "7x14", "--n", "7")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["count"], payload["tiles"]) == ("193530835", 14)
+
+
 def test_count_text_format(capsys):
     code, out, _ = run(capsys, "count", "--rect", "3x6", "--n", "3", "--format", "text")
     assert code == 0
@@ -123,6 +131,9 @@ def test_memory_error_exits_1(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
+    # A rectangle counted cell by cell, then any count.
+    monkeypatch.setattr(enumeration, "_count_by_depth", exhausted)
+    assert run(capsys, "count", "--rect", "6x30", "--n", "6") == (1, "", "error: out of memory\n")
     monkeypatch.setattr("ribbonry.cli.count_tilings", exhausted)
     code, out, err = run(capsys, "count", "--rect", "3x6", "--n", "3")
     assert code == 1 and out == ""
@@ -697,6 +708,7 @@ def test_usage_errors_exit_2(capsys):
         (("--aztec", "N=2,n=3,q=1"), "--aztec wants N=…,n=…,k=…, got 'N=2,n=3,q=1'"),
         (("--stair", "M=x,n=3"), "--stair: M must be an integer, got 'x'"),
         (("--rect", "3x3", "--n", "0"), "ribbon length must be positive, got 0"),
+        (("--rect", "6x30", "--n", "0"), "ribbon length must be positive, got 0"),
     ],
 )
 def test_usage_error_messages(capsys, flags, message):

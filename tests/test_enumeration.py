@@ -943,15 +943,37 @@ def _record_searchers(monkeypatch) -> list:
 
 def test_count_builds_one_searcher_in_the_counting_order(monkeypatch):
     built = _record_searchers(monkeypatch)
+    # Rectangles with n >= 5, or with n >= 2 and a short side of at most n, go cell by cell.
+    for rows, cols, n in [(6, 12, 6), (12, 6, 6), (4, 60, 4), (2, 400, 2)]:
+        assert count_tilings(build_rectangle(rows, cols), n) > 0
+        assert built == [], (rows, cols, n)
+    # An untileable one is answered from its sides alone.
+    monkeypatch.setattr(enumeration, "_count_by_depth", None)
+    assert count_tilings(build_rectangle(10, 10), 7) == count_tilings(build_rectangle(4, 10), 8) == 0
+    assert built == []
     for region, n in [
-        (build_rectangle(6, 12), 6),
-        (build_rectangle(12, 6), 6),
         (build_rectangle(6, 6), 3),
         (build_aztec(4, 2, 0), 2),
+        (build_rectangle(8, 8), 4),
     ]:
         built.clear()
         assert count_tilings(region, n) > 0
         assert [s.order for s in built] == [enumeration._counting_order(region, n)]
+
+
+def test_depth_states_counts_as_the_sweep():
+    for rows in range(1, 8):
+        for cols in range(1, 10):
+            for n in range(1, 8):
+                count = enumeration._count_by_depth(rows, cols, n)[0]
+                for region in (build_rectangle(rows, cols), build_rectangle(cols, rows)):
+                    searcher = _Searcher(region, n, enumeration._counting_order(region, n))
+                    assert count == searcher.count(), (rows, cols, n)
+
+
+def test_depth_states_swept():
+    # The placement sweep expands 181,064 states on 6x30 n=6.
+    assert enumeration._count_by_depth(6, 30, 6)[1] == 117210
 
 
 def test_listing_and_sampling_search_in_level_order(monkeypatch):

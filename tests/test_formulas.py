@@ -38,7 +38,7 @@ def test_reference_constants():
 def test_rect_strip_count_values():
     assert [rect_strip_count(3, c) for c in (1, 2, 3, 4)] == [1, 2, 6, 12]
     assert [rect_strip_count(5, c) for c in (1, 5, 6)] == [1, 120, 360]
-    for n in (2, 3, 4):
+    for n in range(1, 9):
         for cols in range(1, n + 2):
             region = build_rectangle(n, cols)
             assert rect_strip_count(n, cols) == count_tilings(region, n)
@@ -89,8 +89,9 @@ def test_stair_entropy_limit():
 
 def test_a_sequence_golden_and_enumerator():
     assert a_sequence(5) == [1, 1, 5, 61, 1379, 49946]
-    for n in (2, 3, 4):
-        assert a_sequence(n)[-1] == count_tilings(build_rectangle(n, 2 * n), n)
+    terms = a_sequence(7)
+    for n in range(1, 8):
+        assert count_tilings(build_rectangle(n, 2 * n), n) == terms[n]
     with pytest.raises(ValueError):
         a_sequence(-1)
 
