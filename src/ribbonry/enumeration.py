@@ -32,13 +32,13 @@ matchings (F(1) = F(2) = 1), and its largest have floor(k / 2) edges: one
 such for even k, (k + 1) / 2 for odd k.  Tiles are cells less picks, so
 `count_variable` and `count_minimal` take linear time (`_by_level_pairs`).
 
-A rectangle with n >= 5, or with n >= 2 and a short side of at most n, is
-counted one cell at a time (`_count_by_depth`), with no placement table,
-once `is_tileable` finds that n divides a side.  The same tilings are built
-cell by cell in column order along the long side: a cell either starts a
-ribbon, at depth 0, or continues the ribbon of its W or S neighbour, one
-deeper.  A cell at depth n - 1 ends its ribbon and is closed; any other is
-open, and its E or N neighbour must continue it.  The state holds one slot
+A rectangle with n >= 5, or with a short side of at most n, is counted one
+cell at a time (`_count_by_depth`), with no placement table, once
+`is_tileable` finds that n divides a side.  The same tilings are built cell
+by cell in column order along the long side: a cell either starts a ribbon,
+at depth 0, or continues the ribbon of its W or S neighbour, one deeper.
+A cell at depth n - 1 ends its ribbon and is closed; any other is open, and
+its E or N neighbour must continue it.  The state holds one slot
 per row, for the last cell visited in that row.  When a cell comes, its W
 neighbour is in its own row's slot and its S neighbour in the slot below.
 An open W neighbour must be continued here, since its N neighbour has
@@ -47,10 +47,14 @@ neighbour, closing it.  So a state has at most two children, where the
 placement sweep tests up to 2^(n - 1) masks.  In process (best of 3 to 5,
 2 cores, CPython 3.11), 6x30 n=6 goes from 193 to 27 ms and expands 117,210
 states instead of 181,064, 7x14 n=7 from 2.5 to 0.09 s and 8x8 n=8 from
-10.4 to 0.34 s, so both count in under a second.  Where the rule keeps the
-placement sweep, the loop loses on squares and near-squares with small n
-(12x12 n=3: 871 against 500 ms, n=2: 23 against 7 ms; 9x10 n=3: 23 against
-20 ms) and is within a tenth of it on 8x8 n=4 and 6x30 n=3.
+10.4 to 0.34 s, so both count in under a second.  The rule keeps the
+placement sweep for n <= 3 where the short side exceeds n: there the loop
+loses on squares, near-squares and long strips (12x12 n=3: 871 against
+500 ms, n=2: 23 against 7 ms; 9x10 n=3: 23 against 20 ms; 6x30 n=3) and
+wins only on thin ones such as 5x12 n=3.  It keeps the sweep for n = 4 and a
+short side above 4 as well, although the loop measured faster on every such
+rectangle tried (8x8 n=4: 20.0 against 22.1 ms; 12x12 n=4: 17.5 against
+35.3 s); moving those needs its own measured claim.
 
 The placement sweep counts every other region.  It takes a rectangle with
 n = 3 or 4 along its long side: column by column when it has more columns
@@ -545,7 +549,7 @@ def _searcher_for(region: Region, n: int, order: Iterable[Cell] | None = None) -
 def _counting_order(region: Region, n: int) -> tuple[Cell, ...]:
     """The cell order `count_tilings` sweeps the region in.
 
-    `count_tilings` sweeps only rectangles with n = 3 or 4 whose short side
+    `count_tilings` sweeps only rectangles with n <= 4 whose short side
     exceeds n, and regions that are not rectangles; it counts every other
     rectangle cell by cell (`_count_by_depth`).  A rectangle with n >= 3 is
     swept along its long side: column-major (x, y) when it has more columns
@@ -617,7 +621,7 @@ def count_tilings(region: Region, n: int) -> int:
     if region.is_rectangle():
         _, _, max_x, max_y = region.bounds
         short, long = sorted((max_x + 1, max_y + 1))
-        if n >= 5 or 2 <= n and short <= n:
+        if n >= 5 or short <= n:
             return _count_by_depth(short, long, n)[0] if is_tileable(region, n) else 0
     return _searcher_for(region, n, _counting_order(region, n)).count()
 
