@@ -56,6 +56,8 @@ def _parse_kv(flag: str, text: str, required: tuple[str, ...], optional: tuple[s
         if not sep or key not in required + optional:
             wanted = ",".join(f"{k}=…" for k in required + optional)
             raise UsageError(f"{flag} wants {wanted}, got {text!r}")
+        if key in out:
+            raise UsageError(f"{flag}: {key} appears more than once, got {text!r}")
         try:
             out[key] = int(value)
         except ValueError:

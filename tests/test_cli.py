@@ -707,6 +707,8 @@ def test_usage_errors_exit_2(capsys):
         (("--rect", "3"), "--rect wants ROWSxCOLS, got '3'"),
         (("--aztec", "N=2,n=3,q=1"), "--aztec wants N=…,n=…,k=…, got 'N=2,n=3,q=1'"),
         (("--stair", "M=x,n=3"), "--stair: M must be an integer, got 'x'"),
+        (("--aztec", "N=3,N=4,n=2"), "--aztec: N appears more than once, got 'N=3,N=4,n=2'"),
+        (("--stair", "M=4,n=3,n=3"), "--stair: n appears more than once, got 'M=4,n=3,n=3'"),
         (("--rect", "3x3", "--n", "0"), "ribbon length must be positive, got 0"),
         (("--rect", "6x30", "--n", "0"), "ribbon length must be positive, got 0"),
     ],
@@ -734,9 +736,11 @@ _N = _usually(st.integers(1, 7), st.integers(-2, 0))
 
 @st.composite
 def _region_spec(draw, keys):
-    """`K=v,...` for `keys`, each key usually there, now and then with a stray part."""
+    """`K=v,...` for `keys`, each key usually there, now and then with a stray
+    part: an unknown key, a bad value or one of `keys` once more."""
     parts = [f"{key}={draw(values)}" for key, values in keys if draw(_usually(st.just(True), st.just(False)))]
-    parts += draw(_usually(st.just([]), st.sampled_from([["q=1"], ["n=two"]])))
+    again = st.sampled_from(keys).flatmap(lambda pair: pair[1].map(f"{pair[0]}={{}}".format))
+    parts += draw(_usually(st.just([]), (st.sampled_from(["q=1", "n=two"]) | again).map(lambda part: [part])))
     return ",".join(draw(st.permutations(parts)))
 
 

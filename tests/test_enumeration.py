@@ -174,12 +174,8 @@ def _tilings_walked(searcher):
     return searcher.walk((), tiles, tiles)
 
 
-def test_walk_expands_each_dead_state_once():
-    # Without the walk's record of dead states its first-tiling search
-    # entered DEAD_GRID's states 56,427 times.  The walk calls `iter` once
-    # per state it enters, to start on its placements.
-    searcher = _Searcher(parse_region(DEAD_GRID), 3)
-    reachable = len(absolute_states(searcher.completions()))
+def _walk_iters(walked):
+    """(what `walked()` returns, the `iter` calls made in `_Searcher.walk` meanwhile)."""
     entered = 0
 
     def count_entries(frame, event, arg):
@@ -189,10 +185,39 @@ def test_walk_expands_each_dead_state_once():
 
     sys.setprofile(count_entries)
     try:
-        assert next(_tilings_walked(searcher), None) is None
+        return walked(), entered
     finally:
         sys.setprofile(None)
+
+
+def test_walk_expands_each_dead_state_once():
+    # Without the walk's record of dead states its first-tiling search
+    # entered DEAD_GRID's states 56,427 times.  The walk calls `iter` once
+    # per state it enters, to start on its placements.
+    searcher = _Searcher(parse_region(DEAD_GRID), 3)
+    reachable = len(absolute_states(searcher.completions()))
+    first, entered = _walk_iters(lambda: next(_tilings_walked(searcher), None))
+    assert first is None
     assert 0 < entered <= reachable == 616
+
+
+def _json_walked(searcher):
+    """The searcher's walk, folding each tiling's JSON line as `enumerate` does."""
+    fragments = searcher.fragments
+    return searcher.walk('{"tiles":[', [f + "," for f in fragments], [f + "]}\n" for f in fragments])
+
+
+def test_walk_replays_small_subtrees_without_a_stack():
+    # A replayed record, or a searched state, calls `iter` once per edge list
+    # it steps into.  Replaying every record as edge lists calls it 213,359
+    # times to list 4x12 n=4; a flat record of ready suffixes yields each of
+    # its tilings with one concatenation and no `iter`, so listing calls it
+    # 6,629 times with JSON lines and 737 times with tuples of tiles.
+    searcher = _Searcher(build_rectangle(4, 12), 4)
+    for walked, bound in [(_json_walked, 7_000), (_tilings_walked, 800)]:
+        listed, entered = _walk_iters(lambda: sum(1 for _ in walked(searcher)))
+        assert listed == 88_447
+        assert 0 < entered <= bound, walked
 
 
 class _CountedTable(list):
@@ -218,6 +243,24 @@ def test_walk_searches_each_state_once():
         searcher.placements = table = _CountedTable(searcher.placements)
         assert sum(1 for _ in _tilings_walked(searcher)) == count_tilings(region, n)
         assert 0 < table.reads <= states
+
+
+def test_walk_memory_grows_linearly_on_a_chain():
+    # Every state of a 1xM strip with n = 1 has one child.  Were every state
+    # with only flat children flattened whatever its size, state k from the
+    # end would hold k tiles' JSON, and the records M^2 / 2 in all: the walk
+    # of 1x1000 peaked at 14.4 MB against 3.7 MB for 1x500.
+    peaks = []
+    for cols in (1000, 4000):
+        searcher = _Searcher(build_rectangle(1, cols), 1)
+        walked = _json_walked(searcher)
+        tracemalloc.start()
+        try:
+            assert sum(1 for _ in walked) == 1
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 5 * peaks[0], peaks
 
 
 def test_first_tiling_searches_only_its_path():
