@@ -707,10 +707,10 @@ def test_usage_errors_exit_2(capsys):
         (("--rect", "3"), "--rect wants ROWSxCOLS, got '3'"),
         (("--aztec", "N=2,n=3,q=1"), "--aztec wants N=…,n=…,k=…, got 'N=2,n=3,q=1'"),
         (("--stair", "M=x,n=3"), "--stair: M must be an integer, got 'x'"),
-        (("--aztec", "N=3,N=4,n=2"), "--aztec: N appears more than once, got 'N=3,N=4,n=2'"),
-        (("--stair", "M=4,n=3,n=3"), "--stair: n appears more than once, got 'M=4,n=3,n=3'"),
         (("--rect", "3x3", "--n", "0"), "ribbon length must be positive, got 0"),
         (("--rect", "6x30", "--n", "0"), "ribbon length must be positive, got 0"),
+        (("--aztec", "N=3,N=4,n=2"), "--aztec: N appears more than once, got 'N=3,N=4,n=2'"),
+        (("--stair", "M=4,n=3,n=3"), "--stair: n appears more than once, got 'M=4,n=3,n=3'"),
     ],
 )
 def test_usage_error_messages(capsys, flags, message):
