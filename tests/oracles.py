@@ -5,7 +5,9 @@ recurses on the lowest uncovered cell in raster (y, x) order over plain
 frozensets, the tiling lister recurses with no memo and no record of dead
 ends, the orientation and coloring counters are exhaustive, the polynomial
 helpers work on coefficient lists, and the arc references orient free and
-forced tile pairs by two separate rules where the package uses one.
+forced tile pairs by two separate rules where the package uses one.  The
+bijection report is built as the package first built it: one `Tiling` per
+tiling, each orientation a frozenset of arcs read off that tiling.
 Domino counts on simply connected regions also come from the Kasteleyn
 determinant, with no search at all.  The picture references draw one tile at
 a time, as the package first did: a letter grid from a cell -> tile dict and
@@ -188,6 +190,39 @@ def count_acyclic_oracle(vertices, edges, tau=()) -> int:
         if _is_dag(vertices, arcs):
             count += 1
     return count
+
+
+def bijection_oracle(region, n):
+    """`verify_bijection`'s outcome and how many tilings it read to reach it.
+
+    Every tiling is listed as a `Tiling` and oriented by
+    `orientation_from_tiling` as a frozenset of arcs, and injectivity is
+    `len(set(...))`.  The outcome is the `BijectionReport`, or the message of
+    the `GraphInconsistencyError` raised at the tiling read last.
+    """
+    from ribbonry import (
+        BijectionReport,
+        GraphInconsistencyError,
+        build_graph,
+        count_admissible_orientations,
+        enumerate_tilings,
+        orientation_from_tiling,
+    )
+
+    read = 1  # build_graph reads the first tiling
+    try:
+        graph = build_graph(region, n)
+        orientations = []
+        for read, tiling in enumerate(enumerate_tilings(region, n), start=1):
+            orientations.append(orientation_from_tiling(tiling, graph))
+        report = BijectionReport(
+            tiling_count=len(orientations),
+            orientation_count=count_admissible_orientations(graph),
+            injective=len(set(orientations)) == len(orientations),
+        )
+    except GraphInconsistencyError as exc:
+        return str(exc), read
+    return report, read
 
 
 def count_colorings_oracle(vertices, edges, colors: int) -> int:

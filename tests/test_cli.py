@@ -10,6 +10,7 @@ import sys
 import weakref
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import asdict
 from importlib import resources
 from itertools import islice
 from pathlib import Path
@@ -34,6 +35,7 @@ from ribbonry import (
 )
 from ribbonry import cli, enumeration, region
 from ribbonry.cli import UsageError, build_parser, main
+from ribbonry.verify import run_suite
 
 
 def run(capsys, *argv):
@@ -679,6 +681,13 @@ def test_verify_text_format(capsys):
     code, out, _ = run(capsys, "verify", "growth", "--format", "text")
     assert code == 0
     assert out.splitlines()[-1].endswith("0 failed, 0 skipped")
+
+
+def test_check_json_matches_asdict():
+    checks = run_suite("all")
+    assert len(checks) == 174
+    for check in checks:
+        assert check.to_json_dict() == asdict(check), check
 
 
 def test_usage_errors_exit_2(capsys):

@@ -1,6 +1,6 @@
 """Outputs pinned as sha256 digests: seed -> sampled tiling, the sampler's
-completion tables, enumeration order, CLI listings, `render` pictures,
-isomorphism witnesses and chromatic coefficients.
+completion tables, enumeration order, CLI listings, `verify all` reports,
+`render` pictures, isomorphism witnesses and chromatic coefficients.
 
 The tiling digests were recorded from the recursive frontier search, the
 graph digests before isomorphism and the chromatic peel moved onto
@@ -114,6 +114,22 @@ def test_cli_listing_golden(monkeypatch, argv, head, digest):
     monkeypatch.setattr("sys.stdout", pipe)
     assert main(argv.split()) == (0 if head is None else 1)
     assert sha256(pipe.getvalue()) == digest
+
+
+# `ribbonry verify all`: the bench's `stream` workload checks only that its
+# report says "ok": true, so these pin every check line.
+VERIFY_GOLDENS = [
+    ("json", "7f34f27e2e250a2315a19b18fa619a2b948e72d1fc1f6e508e09d17b367806b3"),
+    ("text", "7acc7f0dd6b38ac5abeb15b997361d9a4d0757384cac9622498548e84685ebc5"),
+]
+
+
+@pytest.mark.parametrize("fmt,digest", VERIFY_GOLDENS)
+def test_verify_all_golden(capsys, fmt, digest):
+    assert main(["verify", "all", "--format", fmt]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert sha256(out) == digest
 
 
 @pytest.mark.parametrize("region,n,seed,digest", SAMPLE_GOLDENS)

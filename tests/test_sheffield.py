@@ -6,10 +6,11 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    bijection_oracle,
     count_acyclic_oracle,
     count_colorings_oracle,
     falling_poly,
@@ -39,11 +40,14 @@ from ribbonry import (
     is_tileable,
     orientation_from_tiling,
     parse_region,
+    sample_tiling,
     tile_levels,
     to_dot,
     verify_bijection,
     verify_growth_bounds,
 )
+from ribbonry import enumeration, sheffield
+from ribbonry.enumeration import _Searcher
 from ribbonry.sheffield import FORCED, FREE, SAME_LEVEL
 from ribbonry.verify import bijection_battery
 
@@ -60,6 +64,8 @@ GRAPH_BATTERY = [
     (parse_region(".##.\n####\n####\n.##."), 2),
     (parse_region(".####\n#####"), 3),
 ]
+
+RING = "###\n#.#\n###"
 
 
 def test_tile_levels_constant_across_tilings():
@@ -210,7 +216,7 @@ def test_forced_directions_fixed_on_simply_connected_regions(cells, n):
 def test_holed_region_turns_a_forced_pair_round():
     # The 3x3 ring has 2 domino tilings; one of them orients a forced pair
     # against the tau read off the first, which no simply connected region does.
-    ring = parse_region("###\n#.#\n###")
+    ring = parse_region(RING)
     assert not ring.is_simply_connected
     graph = build_graph(ring, 2)
     raised = 0
@@ -223,6 +229,117 @@ def test_holed_region_turns_a_forced_pair_round():
     assert (raised, count_tilings(ring, 2)) == (1, 2)
     with pytest.raises(GraphInconsistencyError, match="against tau"):
         verify_bijection(ring, 2)
+
+
+def _walked(region, n):
+    """verify_bijection's outcome, as bijection_oracle gives it, and the
+    number of tilings its walk had yielded when it returned or raised."""
+    read = 0
+    walk = _Searcher.walk
+
+    def counted(self, *args):
+        nonlocal read
+        for tiling in walk(self, *args):
+            read += 1
+            yield tiling
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Searcher, "walk", counted)
+        try:
+            outcome = verify_bijection(region, n)
+        except GraphInconsistencyError as exc:
+            outcome = str(exc)
+    return outcome, read
+
+
+def test_bijection_matches_oracle():
+    cases = [(region, n) for _, region, n in bijection_battery()] + GRAPH_BATTERY
+    for region, n in cases:
+        assert _walked(region, n) == bijection_oracle(region, n), (region, n)
+    # The ring's second tiling turns a forced pair round.
+    ring = parse_region(RING)
+    assert _walked(ring, 2) == bijection_oracle(ring, 2) == ("tiling orients a forced pair against tau", 2)
+
+
+@st.composite
+def _holed_regions(draw, longest=6):
+    """(cells, n): an n-ribbon tiling of a rectangle of 3 to `longest` rows
+    and columns with 1 or 2 of its tiles that touch no side taken out, so
+    the rest has a tiling and holes."""
+    n = draw(st.integers(2, 4))
+    cols = draw(st.integers(3, longest))
+    rows = draw(st.sampled_from([r for r in range(3, longest + 1) if r % n == 0 or cols % n == 0]))
+    tiling = sample_tiling(build_rectangle(rows, cols), n, seed=draw(st.integers(0, 2**16)))
+    inner = [t for t in tiling.tiles if all(0 < x < cols - 1 and 0 < y < rows - 1 for x, y in t.cells())]
+    assume(inner)
+    gone = draw(st.lists(st.sampled_from(inner), min_size=1, max_size=2, unique=True))
+    return {(x, y) for x in range(cols) for y in range(rows)} - {c for t in gone for c in t.cells()}, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(_holed_regions())
+@example(({(x, y) for x in range(3) for y in range(3)} - {(1, 1)}, 2))  # the ring
+def test_bijection_matches_oracle_on_regions_with_holes(case):
+    cells, n = case
+    region = Region.from_cells(cells)
+    assert not region.is_simply_connected
+    assume(count_tilings(region, n) <= 2000)
+    assert _walked(region, n) == bijection_oracle(region, n)
+
+
+def test_bijection_matches_oracle_under_a_skewed_rule(monkeypatch):
+    # A rule that, like the real one, reads only the two tiles, but finds
+    # some pairs ambiguous and turns others round, so that tau, the orientations
+    # and the report can each go wrong, at any tiling.
+    arc = sheffield._arc
+
+    def skewed(u, u_x, v, v_x):
+        key = sum(u_x.values()) + 2 * sum(v_x.values()) + 3 * len(u_x) * u.level
+        if key % 29 == 0:
+            raise GraphInconsistencyError(f"tiles {u} and {v} lie neither left nor right of each other")
+        a, b = arc(u, u_x, v, v_x)
+        return (b, a) if key % 7 == 0 else (a, b)
+
+    monkeypatch.setattr(sheffield, "_arc", skewed)
+    outcomes = set()
+    for region, n in [(region, n) for _, region, n in bijection_battery()] + GRAPH_BATTERY:
+        walked = _walked(region, n)
+        assert walked == bijection_oracle(region, n), (region, n)
+        outcome = walked[0]
+        outcomes.add(outcome.split(" lie ")[-1] if isinstance(outcome, str) else outcome.ok)
+    assert outcomes == {
+        True,
+        False,
+        "fixed arc set tau contains a directed cycle",
+        "neither left nor right of each other",
+        "tiling orients a forced pair against tau",
+        "induced orientation contains a cycle",
+    }
+
+
+def test_verify_bijection_orients_each_placement_pair_once(monkeypatch):
+    region = build_rectangle(6, 6)
+    placements = len(_Searcher(region, 3).moves)
+    arcs = tiles = 0
+    arc, tile = sheffield._arc, enumeration.Tile
+
+    def counted_arc(*args):
+        nonlocal arcs
+        arcs += 1
+        return arc(*args)
+
+    def counted_tile(*args):
+        nonlocal tiles
+        tiles += 1
+        return tile(*args)
+
+    monkeypatch.setattr(sheffield, "_arc", counted_arc)
+    monkeypatch.setattr(enumeration, "Tile", counted_tile)
+    assert verify_bijection(region, 3).tiling_count == 8914
+    # Orienting every edge of every tiling anew took 401,145 calls.
+    assert arcs <= 3000
+    # One per placement, and at most one per tile of the first tiling: none per tiling.
+    assert tiles <= placements + region.area // 3
 
 
 def test_orientation_rejects_profile_mismatch():
