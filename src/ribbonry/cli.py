@@ -3,12 +3,15 @@
 Exit codes: 0 success (a count of zero is success), 1 domain failure such as
 sampling an untileable region or running out of memory, 2 usage error.
 
-`main` hands the words after a command name straight to that command's own
-parser, the one `build_parser` makes for it, and reports any word it leaves
-over through the whole parser, as the whole parser would; an argv that does
-not start with a command name goes through the whole parser.  Either way
-the outcome, usage messages and `--help`/`--version` output included, is
-the same as `build_parser().parse_args(argv)`.
+`main` reads a plain command line without argparse: a command that takes no
+positional argument, then pairs of a whole option string, each at most once,
+and a value that passes the option's type and choices.  Any other argv after
+a command name goes to that command's own parser, the one `build_parser`
+makes for it, which reports any word it leaves over through the whole
+parser, as the whole parser would; an argv that does not start with a
+command name goes through the whole parser.  Either way the outcome, usage
+messages and `--help`/`--version` output included, is the same as
+`build_parser().parse_args(argv)`.
 
 Only `region` and `enumeration` are imported with this module: they are
 what `count`, `enumerate` and `sample` run.  `render`, `sheffield` and
@@ -317,29 +320,88 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     return parser, sub.choices
 
 
+_Plain = dict[str, tuple[dict[str, object], dict[str, argparse.Action]]]
+
+
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parsers `main` reuses, built on first use rather than at import."""
-    return _build_parsers()
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser], _Plain]:
+    """The parsers `main` reuses and the plain path's table, built on first
+    use rather than at import."""
+    parser, commands = _build_parsers()
+    return parser, commands, _plain_table(commands)
+
+
+def _plain_table(commands: dict[str, argparse.ArgumentParser]) -> _Plain:
+    """For each command whose parser takes only optional, value-taking
+    options: what the whole parser makes of the command alone (the
+    defaults, `func` and `command`), and its options by option string."""
+    table: _Plain = {}
+    for name, command in commands.items():
+        actions = command._actions
+        if all(action.option_strings and not action.required for action in actions):
+            options = {
+                flag: action
+                for action in actions
+                if isinstance(action, argparse._StoreAction)
+                for flag in action.option_strings
+            }
+            table[name] = ({**vars(command.parse_known_args([])[0]), "command": name}, options)
+    return table
+
+
+def _parse_plain(
+    defaults: dict[str, object], options: dict[str, argparse.Action], words: list[str]
+) -> argparse.Namespace | None:
+    """The namespace the whole parser makes of a command and the `words`
+    after it, when they are pairs of an option string spelled out, each at
+    most once, and a value that is `-` or does not start with `-` and passes
+    the option's type and choices; otherwise None."""
+    if len(words) % 2:
+        return None
+    values: dict[str, object] = {}
+    pairs = iter(words)
+    for flag, text in zip(pairs, pairs):
+        action = options.get(flag)
+        if action is None or action.dest in values or text[:1] == "-" and text != "-":
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    args = argparse.Namespace()
+    namespace = vars(args)  # filled directly: `Namespace(**kwargs)` sets one attribute at a time
+    namespace.update(defaults)
+    namespace.update(values)
+    return args
 
 
 def _parse(argv: list[str] | None) -> argparse.Namespace:
     """What `build_parser().parse_args(argv)` returns, or its usage error.
 
-    The whole parser would hand everything after the command name to the
-    command's parser and then fail on what that leaves over; doing so
-    directly skips the whole parser's own pass over the words.
+    A plain argv (see the module docstring) is read straight into the
+    namespace that argparse would build.  Any other argv after a command
+    name goes to the command's parser: the whole parser would hand it the
+    words after the command name and then fail on what it leaves over, and
+    doing so directly skips the whole parser's own pass over the words.
     """
-    parser, commands = _parsers()
+    parser, commands, plain = _parsers()
     if argv is None:
         argv = sys.argv[1:]
-    command = commands.get(argv[0]) if argv else None
+    name = argv[0] if argv else None
+    if name in plain:
+        args = _parse_plain(*plain[name], argv[1:])
+        if args is not None:
+            return args
+    command = commands.get(name)
     if command is None:
         return parser.parse_args(argv)
     args, extras = command.parse_known_args(argv[1:])
     if extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    args.command = argv[0]
+    args.command = name
     return args
 
 

@@ -32,7 +32,7 @@ matchings (F(1) = F(2) = 1), and its largest have floor(k / 2) edges: one
 such for even k, (k + 1) / 2 for odd k.  Tiles are cells less picks, so
 `count_variable` and `count_minimal` take linear time (`_by_level_pairs`).
 
-A rectangle with n >= 5, or with a short side of at most n, is counted one
+A rectangle with n >= 4, or with a short side of at most n, is counted one
 cell at a time (`_count_by_depth`), with no placement table, once
 `is_tileable` finds that n divides a side.  The same tilings are built cell
 by cell in column order along the long side: a cell either starts a ribbon,
@@ -47,18 +47,18 @@ neighbour, closing it.  So a state has at most two children, where the
 placement sweep tests up to 2^(n - 1) masks.  In process (best of 3 to 5,
 2 cores, CPython 3.11), 6x30 n=6 goes from 193 to 27 ms and expands 117,210
 states instead of 181,064, 7x14 n=7 from 2.5 to 0.09 s and 8x8 n=8 from
-10.4 to 0.34 s, so both count in under a second.  The rule keeps the
-placement sweep for n <= 3 where the short side exceeds n: there the loop
-loses on squares, near-squares and long strips (12x12 n=3: 871 against
-500 ms, n=2: 23 against 7 ms; 9x10 n=3: 23 against 20 ms; 6x30 n=3) and
-wins only on thin ones such as 5x12 n=3.  It keeps the sweep for n = 4 and a
-short side above 4 as well, although the loop measured faster on every such
-rectangle tried (8x8 n=4: 20.0 against 22.1 ms; 12x12 n=4: 17.5 against
-35.3 s); moving those needs its own measured claim.
+10.4 to 0.34 s, so both count in under a second.  With n = 4 the loop
+beat the sweep on every rectangle tried (sweep against loop, best of 3:
+8x8 20.3 against 18.7 ms, 8x12 55.4 against 33.0 ms, 8x16 86.6 against
+53.8 ms, 5x12 0.7 against 0.6 ms; 12x12 35.3 against 17.5 s).  The rule
+keeps the placement sweep for n <= 3 where the short side exceeds n: there
+the loop loses on squares, near-squares and long strips (12x12 n=3: 871
+against 500 ms, n=2: 23 against 7 ms; 9x10 n=3: 23 against 20 ms; 6x30
+n=3) and wins only on thin ones such as 5x12 n=3.
 
 The placement sweep counts every other region.  It takes a rectangle with
-n = 3 or 4 along its long side: column by column when it has more columns
-than rows, row by row when it has more rows than columns
+n = 3 along its long side: column by column when it has more columns than
+rows, row by row when it has more rows than columns
 (`_counting_order`).  There it meets fewer states than in (level, x) order,
 which every other count keeps, or on small wide near-squares a few more in
 the same time.
@@ -588,13 +588,13 @@ def _searcher_for(region: Region, n: int, order: Iterable[Cell] | None = None) -
 def _counting_order(region: Region, n: int) -> tuple[Cell, ...]:
     """The cell order `count_tilings` sweeps the region in.
 
-    `count_tilings` sweeps only rectangles with n <= 4 whose short side
+    `count_tilings` sweeps only rectangles with n <= 3 whose short side
     exceeds n, and regions that are not rectangles; it counts every other
     rectangle cell by cell (`_count_by_depth`).  A rectangle with n >= 3 is
     swept along its long side: column-major (x, y) when it has more columns
     than rows, row-major (y, x) when it has more rows than columns.  On such
-    strips the sweep meets fewer states than in (level, x) order (8x12 n=4:
-    101,090 against 189,240; 6x30 n=3: 6,559 against 8,749).  So do
+    strips the sweep meets fewer states than in (level, x) order (6x30 n=3:
+    6,559 against 8,749; 8x12 n=4: 101,090 against 189,240).  So do
     tall near-squares and any from 11x12 up (13x12 n=3: 1,631,824 against
     2,079,148); smaller wide ones meet up to 9% more in the same time.
     A rectangle thus sweeps the same states as its transpose.
@@ -660,7 +660,7 @@ def count_tilings(region: Region, n: int) -> int:
     if region.is_rectangle():
         _, _, max_x, max_y = region.bounds
         short, long = sorted((max_x + 1, max_y + 1))
-        if n >= 5 or short <= n:
+        if n >= 4 or short <= n:
             return _count_by_depth(short, long, n)[0] if is_tileable(region, n) else 0
     return _searcher_for(region, n, _counting_order(region, n)).count()
 

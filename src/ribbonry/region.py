@@ -136,23 +136,25 @@ class Tile:
         return {"root": [self.root.x, self.root.y], "moves": self.shape.moves}
 
     @classmethod
-    def from_json_dict(cls, data: dict, shapes: dict[str, RibbonShape] | None = None) -> "Tile":
-        """The tile `data` describes; `shapes`, when given, holds the shape made
-        for each moves string so far, so tiles of one shape share it."""
-        if not (isinstance(data, dict) and data.keys() <= _TILE_KEYS):
-            _reject_unknown_keys(data, _TILE_KEYS)  # raises
-        x, y = data["root"]
-        moves = data["moves"]
-        if type(x) is not int or type(y) is not int or not isinstance(moves, str):
-            raise TypeError(f"tile needs an integer root and string moves, got {data!r}")
-        root = _new_tuple(Cell, (x, y))
-        if shapes is None:
-            return cls(root, RibbonShape(moves))
-        shape = shapes.get(moves)
-        if shape is None:
-            shape = shapes[moves] = RibbonShape(moves)
-        return cls(root, shape)
+    def from_json_dict(cls, data: dict) -> "Tile":
+        """The tile `data` describes."""
+        x, y, shape = _tile_fields(data, {})
+        return cls(_new_tuple(Cell, (x, y)), shape)
 
+
+def _tile_fields(data: dict, shapes: dict[str, RibbonShape]) -> tuple[int, int, RibbonShape]:
+    """The root's x and y and the shape of the tile `data` describes, the
+    shape taken from or added to `shapes` by its moves string."""
+    if not (isinstance(data, dict) and data.keys() <= _TILE_KEYS):
+        _reject_unknown_keys(data, _TILE_KEYS)  # raises
+    x, y = data["root"]
+    moves = data["moves"]
+    if type(x) is not int or type(y) is not int or not isinstance(moves, str):
+        raise TypeError(f"tile needs an integer root and string moves, got {data!r}")
+    shape = shapes.get(moves)
+    if shape is None:
+        shape = shapes[moves] = RibbonShape(moves)
+    return x, y, shape
 
 
 def _reject_unknown_keys(data: dict, allowed: frozenset[str]) -> None:
@@ -186,6 +188,14 @@ class Region:
     @classmethod
     def from_cells(cls, cells: Iterable[tuple[int, int]]) -> "Region":
         return cls(frozenset(Cell(int(x), int(y)) for x, y in cells))
+
+    @classmethod
+    def _at_origin(cls, cells: frozenset[Cell]) -> "Region":
+        """The region of nonempty `cells` whose minima are already 0, made
+        without taking the minima again."""
+        region = object.__new__(cls)
+        object.__setattr__(region, "cells", cells)
+        return region
 
     def __reduce__(self) -> tuple:
         """Pickle and copy the cells alone: the cached read-only mappings cannot be."""
@@ -395,27 +405,27 @@ class Tiling:
         """The tiling `data` describes, shifted so its cells' minima are 0,
         on the region its tiles cover, tiles in canonical root order.
 
-        Tiles of one moves string share one shape, and each tile's cells are
-        computed once.  Such a tiling can break only one of `validate`'s
-        rules, a cell covered twice; `validate` runs only when the cells
-        count more than the region, to report that cell as it does.
+        Tiles of one moves string share one shape, each tile is made once, at
+        its shifted root, and its cells are computed once.  Such a tiling can
+        break only one of `validate`'s rules, a cell covered twice;
+        `validate` runs only when the cells count more than the region, to
+        report that cell as it does.
         """
         _reject_unknown_keys(data, _TILING_KEYS)
         items = data["tiles"]
         if not isinstance(items, (list, tuple)):  # what json.dumps writes as an array
             raise TypeError(f"tiles: expected a JSON array, got {type(items).__name__}")
         shapes: dict[str, RibbonShape] = {}
-        tiles = [Tile.from_json_dict(t, shapes) for t in items]
-        if not tiles:
+        fields = [_tile_fields(t, shapes) for t in items]
+        if not fields:
             raise ValueError("tiling has no tiles")
         # Offsets are never negative, so the roots hold the cells' minima.
-        dx = min([t.root.x for t in tiles])
-        dy = min([t.root.y for t in tiles])
-        if dx or dy:
-            tiles = [Tile(Cell(t.root.x - dx, t.root.y - dy), t.shape) for t in tiles]
-        tiles.sort(key=lambda t: (t.root.x + t.root.y, t.root.x))
+        dx = min([x for x, _, _ in fields])
+        dy = min([y for _, y, _ in fields])
+        fields.sort(key=lambda f: (f[0] + f[1], f[0]))
+        tiles = [Tile(_new_tuple(Cell, (x - dx, y - dy)), shape) for x, y, shape in fields]
         cells = [cell for tile in tiles for cell in tile.cells()]
-        tiling = cls(Region(frozenset(cells)), tuple(tiles))
+        tiling = cls(Region._at_origin(frozenset(cells)), tuple(tiles))
         if len(tiling.region.cells) != len(cells):
             tiling.validate()  # raises: some cell is covered twice
         return tiling

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: outputs, schemas, determinism, exit codes."""
 
+import argparse
 import gc
 import io
 import json
@@ -480,13 +481,29 @@ def _assert_main_parses_as_whole_parser(argv: list[str], stdin: str) -> None:
         ["verify", "nonsense"],
         ["verify", "formulas", "--bogus"],
         ["verify", "growth", "--rect", "4x6", "--n", "3"],
+        # The edges of the plain path: a value of `-`, a value that starts
+        # with `-`, a repeated option, an option where a value should be,
+        # values that only `int` reads, a choice the command lacks, and a
+        # command with a positional argument.
+        ["render", "--in", "-"],
+        ["sample", "--rect", "3x3", "--n", "3", "--seed", "-5"],
+        ["sample", "--rect", "3x3", "--n", "3", "--seed", "1", "--seed", "2"],
+        ["sample", "--rect", "--n", "3"],
+        ["sample", "--rect", "--n", "--n", "3"],
+        ["count", "--rect", "3x3", "--n", ""],
+        ["count", "--rect", "3x3", "--n", " 3"],
+        ["count", "--rect", "3x3", "--n", "+3"],
+        ["count", "--rect", "3x3", "--n", "1_0"],
+        ["count", "--rect", "3x3", "--n", "\u0663"],
+        ["sample", "--format", "svg"],
+        ["verify", "all", "--rect", "4x6", "--n", "3"],
     ],
 )
 def test_main_parses_as_the_whole_parser(argv):
     _assert_main_parses_as_whole_parser(argv, '{"tiles":[{"root":[0,0],"moves":"E"}]}')
 
 
-_STRAY = ["--bogus", "bogus", "-x", "-h", "--help", "--version", "--", "--seed=3", "--n=x", "-5", "count", "sample"]
+_STRAY = ["--bogus", "bogus", "-x", "-h", "--help", "--version", "--", "--seed=3", "--n=x", "-5", "-", "count", "sample"]
 
 
 @st.composite
@@ -516,6 +533,26 @@ def test_main_parses_any_argv_as_the_whole_parser(tmp_path_factory, argv_and_gri
     path.write_text(grid)
     argv = [str(path) if word == "GRID" else word for word in argv]
     _assert_main_parses_as_whole_parser(argv, grid)
+
+
+def test_plain_argv_runs_without_argparse(monkeypatch):
+    stdin = '{"tiles":[{"root":[0,0],"moves":"E"}]}'
+    argvs = [
+        ["sample", "--rect", "3x3", "--n", "3", "--seed", "4"],
+        ["render", "--in", "-", "--format", "svg"],
+        ["count", "--aztec", "N=3,n=2"],
+        ["enumerate", "--rect", "2x3", "--n", "2", "--format", "text"],
+    ]
+    before = [_main_on(argv, stdin, _reference_main) for argv in argvs]
+    assert all(code == 0 for code, _, _ in before)
+    cli._parsers()  # the plain path's table is built with argparse, once
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed a plain argv")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    assert [_main_on(argv, stdin) for argv in argvs] == before
 
 
 def test_parser_reuse_keeps_calls_apart(capsys):

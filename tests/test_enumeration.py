@@ -987,8 +987,8 @@ def _record_searchers(monkeypatch) -> list:
 
 def test_count_builds_one_searcher_in_the_counting_order(monkeypatch):
     built = _record_searchers(monkeypatch)
-    # Rectangles with n >= 5, or with a short side of at most n, go cell by cell.
-    for rows, cols, n in [(6, 12, 6), (12, 6, 6), (4, 60, 4), (2, 400, 2), (1, 600, 1)]:
+    # Rectangles with n >= 4, or with a short side of at most n, go cell by cell.
+    for rows, cols, n in [(6, 12, 6), (12, 6, 6), (8, 8, 4), (4, 60, 4), (2, 400, 2), (1, 600, 1)]:
         assert count_tilings(build_rectangle(rows, cols), n) > 0
         assert built == [], (rows, cols, n)
     # An untileable one is answered from its sides alone.
@@ -998,7 +998,6 @@ def test_count_builds_one_searcher_in_the_counting_order(monkeypatch):
     for region, n in [
         (build_rectangle(6, 6), 3),
         (build_aztec(4, 2, 0), 2),
-        (build_rectangle(8, 8), 4),
     ]:
         built.clear()
         assert count_tilings(region, n) > 0

@@ -123,3 +123,8 @@ def test_suite_names_come_without_the_suites():
     loaded = ast.literal_eval(_fresh(probe).stdout)
     assert not {"fractions", "ribbonry.formulas", "ribbonry.sheffield", "ribbonry.verify"} & set(loaded)
     assert verify.SUITE_NAMES is cli.SUITE_NAMES
+
+
+def test_import_builds_no_parser():
+    probe = "import ribbonry.cli as cli\nprint(cli._parsers.cache_info().currsize)"
+    assert _fresh(probe).stdout == "0\n"
