@@ -5,12 +5,9 @@ sampling an untileable region or running out of memory, 2 usage error.
 
 `main` reads a plain command line without argparse: a command that takes no
 positional argument, then pairs of a whole option string, each at most once,
-and a value that passes the option's type and choices.  Any other argv after
-a command name goes to that command's own parser, the one `build_parser`
-makes for it, which reports any word it leaves over through the whole
-parser, as the whole parser would; an argv that does not start with a
-command name goes through the whole parser.  Either way the outcome, usage
-messages and `--help`/`--version` output included, is the same as
+and a value that passes the option's type and choices.  Any other argv goes
+through the whole parser.  Either way the outcome, usage messages and
+`--help`/`--version` output included, is the same as
 `build_parser().parse_args(argv)`.
 
 Only `region` and `enumeration` are imported with this module: they are
@@ -324,11 +321,11 @@ _Plain = dict[str, tuple[dict[str, object], dict[str, argparse.Action]]]
 
 
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser], _Plain]:
-    """The parsers `main` reuses and the plain path's table, built on first
-    use rather than at import."""
+def _parsers() -> tuple[argparse.ArgumentParser, _Plain]:
+    """The whole parser `main` reuses and the plain path's table, built on
+    first use rather than at import."""
     parser, commands = _build_parsers()
-    return parser, commands, _plain_table(commands)
+    return parser, _plain_table(commands)
 
 
 def _plain_table(commands: dict[str, argparse.ArgumentParser]) -> _Plain:
@@ -382,12 +379,10 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
     """What `build_parser().parse_args(argv)` returns, or its usage error.
 
     A plain argv (see the module docstring) is read straight into the
-    namespace that argparse would build.  Any other argv after a command
-    name goes to the command's parser: the whole parser would hand it the
-    words after the command name and then fail on what it leaves over, and
-    doing so directly skips the whole parser's own pass over the words.
+    namespace that argparse would build; any other goes through the whole
+    parser.
     """
-    parser, commands, plain = _parsers()
+    parser, plain = _parsers()
     if argv is None:
         argv = sys.argv[1:]
     name = argv[0] if argv else None
@@ -395,14 +390,7 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
         args = _parse_plain(*plain[name], argv[1:])
         if args is not None:
             return args
-    command = commands.get(name)
-    if command is None:
-        return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    args.command = name
-    return args
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

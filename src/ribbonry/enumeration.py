@@ -5,16 +5,16 @@ that comes first in a fixed cell order.  A ribbon steps only E or N, so in
 any order where every cell comes before its E and N neighbours a ribbon's
 root is its first cell.  Any ribbon covering the first free cell must then
 be rooted there (a root earlier in the order would itself be a free cell
-before it), which makes the search exhaustive and duplicate-free.  Three
-such orders are used: (level, x), row-major (y, x) and column-major (x, y).
+before it), which makes the search exhaustive and duplicate-free.  Every
+placement table is in (level, x) order, which listing and sampling need.
 
 Every cell before the first free cell i is covered, so every search keys a
 state by its layer i and its band, the covered bits from cell i up.  A
 placement's mask has its root as bit 0: at i it is tested against the band
 as it is, and if the child `band | mask` has its `step` lowest bits set, it
 is band `child >> step` of layer i + step.  The full state is layer `area`.
-In (level, x) order, once the first free cell sits at level L no cell at
-level >= L + n can be covered yet, so the band spans levels [L, L + n - 1].
+Once the first free cell sits at level L no cell at level >= L + n can be
+covered yet, so the band spans levels [L, L + n - 1].
 
 Counting sweeps the layers (`_Searcher.count`).  A placement covers cell i,
 so a state's children all land in higher layers, and the layers are
@@ -32,39 +32,38 @@ matchings (F(1) = F(2) = 1), and its largest have floor(k / 2) edges: one
 such for even k, (k + 1) / 2 for odd k.  Tiles are cells less picks, so
 `count_variable` and `count_minimal` take linear time (`_by_level_pairs`).
 
-A rectangle with n >= 4, or with a short side of at most n, is counted one
-cell at a time (`_count_by_depth`), with no placement table, once
-`is_tileable` finds that n divides a side.  The same tilings are built cell
-by cell in column order along the long side: a cell either starts a ribbon,
-at depth 0, or continues the ribbon of its W or S neighbour, one deeper.
-A cell at depth n - 1 ends its ribbon and is closed; any other is open, and
-its E or N neighbour must continue it.  The state holds one slot
-per row, for the last cell visited in that row.  When a cell comes, its W
-neighbour is in its own row's slot and its S neighbour in the slot below.
-An open W neighbour must be continued here, since its N neighbour has
-passed; otherwise the cell starts a ribbon or continues an open S
-neighbour, closing it.  So a state has at most two children, where the
-placement sweep tests up to 2^(n - 1) masks.  In process (best of 3 to 5,
-2 cores, CPython 3.11), 6x30 n=6 goes from 193 to 27 ms and expands 117,210
-states instead of 181,064, 7x14 n=7 from 2.5 to 0.09 s and 8x8 n=8 from
-10.4 to 0.34 s, so both count in under a second.  With n = 4 the loop
+A rectangle with n >= 4, a short side of at most n, or n = 3 and unequal
+sides is counted one cell at a time (`_count_by_depth`), with no placement
+table, once `is_tileable` finds that n divides a side.  The same tilings are
+built cell by cell in column order along the long side: a cell either
+starts a ribbon, at depth 0, or continues the ribbon of its W or S
+neighbour, one deeper.  A cell at depth n - 1 ends its ribbon and is
+closed; any other is open, and its E or N neighbour must continue it.  The
+state holds one slot per row, for the last cell visited in that row.  When
+a cell comes, its W neighbour is in its own row's slot and its S neighbour
+in the slot below.  An open W neighbour must be continued here, since its N
+neighbour has passed; otherwise the cell starts a ribbon or continues an
+open S neighbour, closing it.  So a state has at most two children, where
+the placement sweep tests up to 2^(n - 1) masks.  In process (best of 3 to
+7, 2 cores, CPython 3.11), 6x30 n=6 goes from 193 to 27 ms and expands
+117,210 states instead of 181,064, 7x14 n=7 from 2.5 to 0.09 s and 8x8 n=8
+from 10.4 to 0.34 s, so both count in under a second.  With n = 4 the loop
 beat the sweep on every rectangle tried (sweep against loop, best of 3:
 8x8 20.3 against 18.7 ms, 8x12 55.4 against 33.0 ms, 8x16 86.6 against
-53.8 ms, 5x12 0.7 against 0.6 ms; 12x12 35.3 against 17.5 s).  The rule
-keeps the placement sweep for n <= 3 where the short side exceeds n: there
-the loop loses on squares, near-squares and long strips (12x12 n=3: 871
-against 500 ms, n=2: 23 against 7 ms; 9x10 n=3: 23 against 20 ms; 6x30
-n=3) and wins only on thin ones such as 5x12 n=3.
+53.8 ms, 5x12 0.7 against 0.6 ms; 12x12 35.3 against 17.5 s).  With n = 3
+and unequal sides it ties or wins on thin strips against a sweep along the
+long side (6x30 2.02 against 1.94 ms, 6x60 4.3 against 3.9 ms) and loses
+up to a fifth on near-squares (8x12 4.8 against 5.4 ms, 10x12 43 against
+49 ms, 12x15 0.59 against 0.69 s, its `tracemalloc` peak 5.0 against
+6.3 MiB); a sweep in (level, x) order takes 1.3 s on 12x15, so the loop
+spares a second cell order.  The placement sweep keeps squares with
+n <= 3, which it folds (12x12 n=3: loop 871 against sweep 500 ms, n=2: 23
+against 7 ms), and unequal rectangles with n <= 2 whose short side exceeds
+n (12x14 n=2: 16.2 against 6.2 ms, 16x18 n=2: 405 against 119 ms).
 
-The placement sweep counts every other region.  It takes a rectangle with
-n = 3 along its long side: column by column when it has more columns than
-rows, row by row when it has more rows than columns
-(`_counting_order`).  There it meets fewer states than in (level, x) order,
-which every other count keeps, or on small wide near-squares a few more in
-the same time.
-
-In (level, x) order a region equal to its own transpose, (x, y) -> (y, x),
-such as a square or AD(N, 2, 0), is folded onto its mirror image.
+The placement sweep counts every other region.  It folds a region equal to
+its own transpose, (x, y) -> (y, x), such as a square or AD(N, 2, 0), onto
+its mirror image.
 Transposition maps a ribbon to a ribbon and keeps every cell's level, so a
 covered set and its mirror have equally many completions.  The count is the
 sum over pending states of ways times completions, so ways may move onto
@@ -145,7 +144,7 @@ import random
 import threading
 from collections import OrderedDict, defaultdict
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, TypeVar
 
 from .region import Cell, Region, RibbonShape, Tile, Tiling
 
@@ -168,9 +167,7 @@ class NotTileableError(ValueError):
 class _Searcher:
     """Placement table and frontier search over one region and one length n.
 
-    Cells are indexed in `order`, (level, x) unless one is given; any order
-    in which every cell comes before its E and N neighbours is exact (see
-    the module docstring).  Listing and sampling need (level, x) order.
+    Cells are indexed in (level, x) order (see the module docstring).
     Every search keys a state by (layer, band) and steps from it by the
     root-relative masks of `placements[layer]`.  Construction builds only
     the placement table: `tiles` and `fragments` are built when listing or
@@ -178,22 +175,20 @@ class _Searcher:
     below 1 has no placement.
     """
 
-    def __init__(self, region: Region, n: int, order: Iterable[Cell] | None = None) -> None:
+    def __init__(self, region: Region, n: int) -> None:
         self.region = region
         self.n = n
         self.swept = 0  # states the last `count` expanded
-        self.order = region.sorted_cells if order is None else tuple(order)
         self.moves: list[str] = []  # the moves of every placement that fits, root by root
         self.placements: list[list[tuple[int, int]]] = []
-        index = {c: i for i, c in enumerate(self.order)}
-        # Each cell's N and E neighbours, as indices in the order or None, pushed
-        # N first so that E pops first.
-        steps = [
-            (("N", index.get(Cell(x, y + 1))), ("E", index.get(Cell(x + 1, y)))) for x, y in self.order
-        ]
+        cells = region.sorted_cells
+        index = {c: i for i, c in enumerate(cells)}
+        # Each cell's N and E neighbours, as indices in (level, x) order or None,
+        # pushed N first so that E pops first.
+        steps = [(("N", index.get(Cell(x, y + 1))), ("E", index.get(Cell(x + 1, y)))) for x, y in cells]
         # A ribbon climbs one level per cell, so none rises past the top level.
         top = max(region.level_histogram)
-        for i, (x, y) in enumerate(self.order):
+        for i, (x, y) in enumerate(cells):
             # Canonical order: depth first, E before N.
             options: list[tuple[int, int]] = []
             stack = [(i, "", 1)] if 0 < n <= top - x - y + 1 else []
@@ -213,21 +208,19 @@ class _Searcher:
         """How `count` finds a state's transpose mirror, by level start;
         built on the first count.
 
-        Only a searcher in (level, x) order over a region equal to its own
-        transpose folds; any other gets no plan.  At the start i of level L
-        a key covers the band of levels L .. L + n - 2, the highest a
-        tile rooted below L reaches.  Transposition keeps each level and
-        reverses the cells along it, so the mirror's key is the key with
-        each level's segment of bits reversed.  The entry for i is the
-        format spec that writes a key as that many bits, most significant
-        first, and a getter that picks the reversed segments out of those
-        bits, highest level first.  A level start whose band has one cell
-        per level is left out: every state there is its own mirror.
+        Only a searcher over a region equal to its own transpose folds; any
+        other gets no plan.  At the start i of level L a key covers the band
+        of levels L .. L + n - 2, the highest a tile rooted below L
+        reaches.  Transposition keeps each level and reverses the cells
+        along it, so the mirror's key is the key with each level's segment
+        of bits reversed.  The entry for i is the format spec that writes a
+        key as that many bits, most significant first, and a getter that
+        picks the reversed segments out of those bits, highest level first.
+        A level start whose band has one cell per level is left out: every
+        state there is its own mirror.
         """
-        region, order = self.region, self.order
-        if self.n < 2 or order != region.sorted_cells:
-            return {}
-        if any((y, x) not in region.cells for x, y in region.cells):
+        region = self.region
+        if self.n < 2 or any((y, x) not in region.cells for x, y in region.cells):
             return {}
         # (level, first cell, end) of every level present, in order.
         spans = []
@@ -261,7 +254,7 @@ class _Searcher:
         shapes = {moves: RibbonShape(moves) for moves in set(self.moves)}
         return [
             Tile(root, shapes[self.moves[position]])
-            for root, options in zip(self.order, self.placements)
+            for root, options in zip(self.region.sorted_cells, self.placements)
             for _, position in options
         ]
 
@@ -277,7 +270,7 @@ class _Searcher:
         """
         return [
             f'{{"root":[{x},{y}],"moves":"{self.moves[position]}"}}'
-            for (x, y), options in zip(self.order, self.placements)
+            for (x, y), options in zip(self.region.sorted_cells, self.placements)
             for _, position in options
         ]
 
@@ -575,41 +568,14 @@ def _root_levels(region: Region, n: int) -> dict[int, int] | None:
     return {low + i: rooted for i, rooted in enumerate(roots) if rooted}
 
 
-def _searcher_for(region: Region, n: int, order: Iterable[Cell] | None = None) -> _Searcher:
-    """The searcher over the region's n-ribbon tilings, its cells in `order`
-    or else in (level, x) order; over length 0, with no placement to try,
-    when the area or the level profile already rules every tiling out."""
+def _searcher_for(region: Region, n: int) -> _Searcher:
+    """The searcher over the region's n-ribbon tilings; over length 0, with
+    no placement to try, when the area or the level profile already rules
+    every tiling out."""
     if n < 1:
         raise ValueError(f"ribbon length must be positive, got {n}")
     tileable = region.area % n == 0 and _root_levels(region, n) is not None
-    return _Searcher(region, n if tileable else 0, order)
-
-
-def _counting_order(region: Region, n: int) -> tuple[Cell, ...]:
-    """The cell order `count_tilings` sweeps the region in.
-
-    `count_tilings` sweeps only rectangles with n <= 3 whose short side
-    exceeds n, and regions that are not rectangles; it counts every other
-    rectangle cell by cell (`_count_by_depth`).  A rectangle with n >= 3 is
-    swept along its long side: column-major (x, y) when it has more columns
-    than rows, row-major (y, x) when it has more rows than columns.  On such
-    strips the sweep meets fewer states than in (level, x) order (6x30 n=3:
-    6,559 against 8,749; 8x12 n=4: 101,090 against 189,240).  So do
-    tall near-squares and any from 11x12 up (13x12 n=3: 1,631,824 against
-    2,079,148); smaller wide ones meet up to 9% more in the same time.
-    A rectangle thus sweeps the same states as its transpose.
-    Squares keep (level, x), where the sweep folds them onto their
-    transpose (12x12 n=3: 769,579 states against 1,134,718 unfolded), and
-    so do other regions and n <= 2: there the other orders tie or meet
-    more states, up to 196 times as many on Aztec diamonds.
-    """
-    if n >= 3 and region.is_rectangle():
-        _, _, max_x, max_y = region.bounds
-        if max_x > max_y:
-            return tuple(sorted(region.cells))  # a Cell sorts by (x, y)
-        if max_y > max_x:
-            return tuple(sorted(region.cells, key=lambda c: (c.y, c.x)))
-    return region.sorted_cells
+    return _Searcher(region, n if tileable else 0)
 
 
 def _count_by_depth(rows: int, cols: int, n: int) -> tuple[int, int]:
@@ -660,9 +626,9 @@ def count_tilings(region: Region, n: int) -> int:
     if region.is_rectangle():
         _, _, max_x, max_y = region.bounds
         short, long = sorted((max_x + 1, max_y + 1))
-        if n >= 4 or short <= n:
+        if n >= 4 or short <= n or n == 3 and short < long:
             return _count_by_depth(short, long, n)[0] if is_tileable(region, n) else 0
-    return _searcher_for(region, n, _counting_order(region, n)).count()
+    return _searcher_for(region, n).count()
 
 
 def enumerate_tilings(region: Region, n: int) -> Iterator[Tiling]:

@@ -175,34 +175,21 @@ def _graph_of(first: Tiling, n: int) -> SGraph:
 
 
 def is_acyclic(vertices: Iterable[VertexId], arcs: Iterable[tuple[VertexId, VertexId]]) -> bool:
-    """True iff the arcs form no directed cycle (a self-loop counts as one).
-
-    Kahn's peeling: repeatedly remove vertices with no incoming arc; the
-    arcs are acyclic exactly when every vertex is removed.
-    """
-    out: dict[VertexId, list[VertexId]] = {v: [] for v in vertices}
-    indegree = dict.fromkeys(out, 0)
+    """True iff the arcs form no directed cycle (a self-loop counts as one)."""
+    index = {v: k for k, v in enumerate(dict.fromkeys(vertices))}
+    into = [0] * len(index)
     for a, b in arcs:
-        out[a].append(b)
-        indegree[b] += 1
-    sources = [v for v, d in indegree.items() if d == 0]
-    peeled = 0
-    while sources:
-        peeled += 1
-        for b in out[sources.pop()]:
-            indegree[b] -= 1
-            if indegree[b] == 0:
-                sources.append(b)
-    return peeled == len(out)
+        into[index[b]] |= 1 << index[a]
+    return _acyclic(into)
 
 
 def _acyclic(into: list[int]) -> bool:
-    """is_acyclic over vertices 0..len(into) - 1, each given by its in-neighbours as bits.
+    """Whether vertices 0..len(into) - 1, each given by its in-neighbours as
+    bits, form no directed cycle.
 
     Sweeps the vertices in index order, peeling each one whose in-neighbours
-    are all peeled, until every vertex is peeled or a sweep peels none.  On a
-    tile graph's few vertices this costs less than building is_acyclic's
-    dicts anew for every tiling.
+    are all peeled, until every vertex is peeled or a sweep peels none.  A
+    vertex on a cycle is never peeled.
     """
     left = (1 << len(into)) - 1
     while left:

@@ -282,7 +282,7 @@ def test_placements_at_canonical_order():
     positions = [p for options in searcher.placements for _, p in options]
     assert positions == list(range(len(searcher.tiles)))
     for i, options in enumerate(searcher.placements):
-        assert all(searcher.tiles[p].root == searcher.order[i] for _, p in options)
+        assert all(searcher.tiles[p].root == region.sorted_cells[i] for _, p in options)
 
 
 def test_is_tileable_matches_count():
@@ -479,7 +479,7 @@ def test_completion_tables_match_counts_of_what_is_left(monkeypatch):
         assert len(table) == size and (1 << region.area) - 1 not in table
         assert table[0] == count_tilings(region, n)
         for state, completions in table.items():
-            left = [cell for i, cell in enumerate(searcher.order) if not state >> i & 1]
+            left = [cell for i, cell in enumerate(region.sorted_cells) if not state >> i & 1]
             assert completions == count_tilings(Region.from_cells(left), n), (region, state)
             dead_ends += completions == 0
     assert dead_ends > 0
@@ -624,9 +624,10 @@ def test_domino_counts_at_scale_match_kasteleyn(region):
 @example({(x, y) for x in range(3) for y in range(3)} - {(1, 1)}, 2)  # a hole
 @example({(x, y) for x in range(5) for y in range(2)} - {(2, 0), (2, 1)}, 2)  # two pieces
 def test_completion_table_holds_every_reachable_state(cells, n):
-    searcher = _Searcher(Region.from_cells(cells), n)
+    region = Region.from_cells(cells)
+    searcher = _Searcher(region, n)
     table = absolute_states(searcher.completions())
-    full = (1 << len(searcher.order)) - 1
+    full = (1 << region.area) - 1
     # The states reachable from 0, each placing a tile at its minimal free
     # cell; a placement's mask is relative to its root.
     reachable, todo = {0}, [0]
@@ -634,7 +635,7 @@ def test_completion_table_holds_every_reachable_state(cells, n):
         state = todo.pop()
         if state == full:
             continue
-        root = next(i for i in range(len(searcher.order)) if not state >> i & 1)
+        root = next(i for i in range(region.area) if not state >> i & 1)
         for mask, _ in searcher.placements[root]:
             mask <<= root
             if not mask & state and state | mask not in reachable:
@@ -642,32 +643,21 @@ def test_completion_table_holds_every_reachable_state(cells, n):
                 todo.append(state | mask)
     assert table.keys() == reachable - {full}
     for state, completions in table.items():
-        left = [cell for i, cell in enumerate(searcher.order) if not state >> i & 1]
+        left = [cell for i, cell in enumerate(region.sorted_cells) if not state >> i & 1]
         assert completions == count_tilings(Region.from_cells(left), n), state
 
 
-_CELL_ORDERS = {
-    "level": lambda region: region.sorted_cells,
-    "column": lambda region: sorted(region.cells),
-    "row": lambda region: sorted(region.cells, key=lambda c: (c.y, c.x)),
-}
-
-
 @settings(max_examples=80, deadline=None)
-@given(
-    _holed_rectangles().filter(bool),
-    st.integers(1, 4),
-    st.sampled_from(sorted(_CELL_ORDERS)),
-)
-@example({(x, y) for x in range(3) for y in range(3)} - {(1, 1)}, 2, "level")  # a hole
-def test_placement_table_matches_oracle(cells, n, order):
+@given(_holed_rectangles().filter(bool), st.integers(1, 4))
+@example({(x, y) for x in range(3) for y in range(3)} - {(1, 1)}, 2)  # a hole
+def test_placement_table_matches_oracle(cells, n):
     region = Region.from_cells(cells)
-    searcher = _Searcher(region, n, _CELL_ORDERS[order](region))
-    index = {cell: i for i, cell in enumerate(searcher.order)}
+    searcher = _Searcher(region, n)
+    index = {cell: i for i, cell in enumerate(region.sorted_cells)}
     # Every E/N word of length n that fits, at each root in turn; a string
     # sort puts E before N.  A mask has bit 0 at its root.
     moves, placements = [], []
-    for root in searcher.order:
+    for root in region.sorted_cells:
         at = index[root]
         words = sorted(
             "".join(word)
@@ -785,36 +775,10 @@ def test_area_mismatch_answers_without_a_search(monkeypatch, region, n):
     _assert_no_placement_tried(built)
 
 
-def _cell_orders(region):
-    """The three orders a searcher may take: (level, x), row-major and column-major."""
-    return {
-        "level": region.sorted_cells,
-        "row": tuple(sorted(region.cells, key=lambda c: (c.y, c.x))),
-        "column": tuple(sorted(region.cells, key=lambda c: (c.x, c.y))),
-    }
-
-
-@settings(max_examples=80, deadline=None)
-@given(_holed_rectangles(4).filter(bool), st.integers(2, 4))
-@example({(x, y) for x in range(3) for y in range(3)} - {(1, 1)}, 2)  # a hole
-@example({(x, y) for x in range(5) for y in range(2)} - {(2, 0), (2, 1)}, 2)  # two pieces
-# In column order the last cell, (1, 0), sits below the top level, where the
-# domino rooted at (0, 1) ends.
-@example({(0, 0), (0, 1), (0, 2), (1, 0)}, 2)
-def test_counts_agree_in_every_cell_order(cells, n):
-    region = Region.from_cells(cells)
-    want = _Searcher(region, n).count()
-    base = set(_Searcher(region, n).tiles)
-    for name, order in _cell_orders(region).items():
-        searcher = _Searcher(region, n, order)
-        assert searcher.count() == want, name
-        # The same placements fit, whatever the order numbers them by.
-        assert set(searcher.tiles) == base, name
-
-
 def test_rectangle_counts_survive_transposition():
-    # Transposing maps ribbons to ribbons; on a rectangle with n >= 3 and
-    # unequal sides it pits the column-order sweep against the row-order one.
+    # Transposing maps ribbons to ribbons; on a rectangle with n <= 2 and a
+    # short side above n it pits the sweep over one against the sweep over
+    # the other.
     for rows in range(1, 7):
         for cols in range(1, 11):
             for n in range(2, 7):
@@ -858,10 +822,8 @@ def test_folded_counts_match_oracle(cells, n):
     region = Region.from_cells(cells)
     want = count_tilings_oracle(region_cells(region), (n,), {})
     assert count_tilings(region, n) == want
-    column = _Searcher(region, n, _cell_orders(region)["column"])
-    # Only an order that is (level, x) all along folds.
-    assert column.order == region.sorted_cells or not column.folds
-    assert column.count() == want
+    # The folded sweep, also where count_tilings counts a square cell by cell.
+    assert _Searcher(region, n).count() == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -908,8 +870,8 @@ def test_variable_and_minimal_counts_run_no_search(monkeypatch):
 
 
 def _states_swept(region, n):
-    """States the counting sweep expands for (region, n), in its counting order."""
-    searcher = enumeration._searcher_for(region, n, enumeration._counting_order(region, n))
+    """States the placement sweep expands for (region, n)."""
+    searcher = _Searcher(region, n)
     assert searcher.count() == count_tilings(region, n)
     return searcher.swept
 
@@ -927,10 +889,10 @@ BAND = "\n".join("." * (11 - row) + "#" * 8 + "." * row for row in range(12))
         (build_aztec(8, 2, 0), 2, 2829),
         # Not their own transpose: swept as before.
         (parse_region(BAND), 4, 386),
-        (build_rectangle(4, 60), 4, 2868),  # in column order
-        # A near-square along its long side, the same states either way round.
-        (build_rectangle(9, 10), 3, 43683),
-        (build_rectangle(10, 9), 3, 43683),
+        # count_tilings counts these cell by cell instead.
+        (build_rectangle(4, 60), 4, 3360),
+        (build_rectangle(9, 10), 3, 40791),
+        (build_rectangle(10, 9), 3, 49121),
     ],
 )
 def test_states_swept(region, n, states):
@@ -940,36 +902,13 @@ def test_states_swept(region, n, states):
 @pytest.mark.parametrize(
     "rows, cols, n", [(5, 6, 3), (6, 7, 3), (8, 9, 3), (3, 4, 3), (4, 6, 4), (6, 12, 6)]
 )
-def test_rectangle_and_transpose_sweep_the_same_states(rows, cols, n):
-    assert _states_swept(build_rectangle(rows, cols), n) == _states_swept(
-        build_rectangle(cols, rows), n
-    )
-
-
-# The bench's wide rectangles, as (rows, cols, n).
-WIDE_COUNTS = [(6, 12, 6), (6, 18, 6), (6, 24, 6), (6, 30, 6), (3, 90, 3), (4, 60, 4), (5, 30, 5)]
-# Near-squares take the same rule.
-NEAR_SQUARES = [(5, 6, 3), (6, 7, 3), (8, 9, 3), (9, 10, 3)]
-
-
-def test_counting_order_follows_the_long_side():
-    for rows, cols, n in WIDE_COUNTS + NEAR_SQUARES:
-        wide, tall = build_rectangle(rows, cols), build_rectangle(cols, rows)
-        assert enumeration._counting_order(wide, n) == _cell_orders(wide)["column"]
-        assert enumeration._counting_order(tall, n) == _cell_orders(tall)["row"]
-    level_order = [
-        (build_rectangle(12, 12), 3),
-        (build_rectangle(8, 8), 4),
-        (build_rectangle(12, 12), 2),
-        (build_rectangle(2, 400), 2),
-        (build_rectangle(30, 6), 2),
-        (build_rectangle(1, 600), 1),
-        (build_aztec(8, 3, 0), 3),
-        (build_stair(40, 5), 5),
-        (parse_region("###..\n#....\n....."), 3),  # an L: wider than tall, not a rectangle
-    ]
-    for region, n in level_order:
-        assert enumeration._counting_order(region, n) == region.sorted_cells, (region, n)
+def test_rectangle_and_transpose_sweep_the_same_states(monkeypatch, rows, cols, n):
+    # Either way round, count_tilings runs the cell-by-cell loop along the long side.
+    calls = []
+    by_depth = enumeration._count_by_depth
+    monkeypatch.setattr(enumeration, "_count_by_depth", lambda *args: calls.append(args) or by_depth(*args))
+    assert count_tilings(build_rectangle(rows, cols), n) == count_tilings(build_rectangle(cols, rows), n)
+    assert calls == [(rows, cols, n)] * 2
 
 
 def _record_searchers(monkeypatch) -> list:
@@ -987,21 +926,25 @@ def _record_searchers(monkeypatch) -> list:
 
 def test_count_builds_one_searcher_in_the_counting_order(monkeypatch):
     built = _record_searchers(monkeypatch)
-    # Rectangles with n >= 4, or with a short side of at most n, go cell by cell.
-    for rows, cols, n in [(6, 12, 6), (12, 6, 6), (8, 8, 4), (4, 60, 4), (2, 400, 2), (1, 600, 1)]:
+    # Rectangles with n >= 4, a short side of at most n, or n = 3 and unequal
+    # sides go cell by cell.
+    cell_by_cell = [(6, 12, 6), (12, 6, 6), (8, 8, 4), (4, 60, 4), (2, 400, 2), (1, 600, 1)]
+    for rows, cols, n in cell_by_cell + [(6, 30, 3), (9, 10, 3), (10, 9, 3)]:
         assert count_tilings(build_rectangle(rows, cols), n) > 0
         assert built == [], (rows, cols, n)
     # An untileable one is answered from its sides alone.
     monkeypatch.setattr(enumeration, "_count_by_depth", None)
     assert count_tilings(build_rectangle(10, 10), 7) == count_tilings(build_rectangle(4, 10), 8) == 0
     assert built == []
+    # The placement sweep, in (level, x) order, counts the rest.
     for region, n in [
         (build_rectangle(6, 6), 3),
+        (build_rectangle(10, 12), 2),
         (build_aztec(4, 2, 0), 2),
     ]:
         built.clear()
         assert count_tilings(region, n) > 0
-        assert [s.order for s in built] == [enumeration._counting_order(region, n)]
+        assert [(s.region, s.n) for s in built] == [(region, n)]
 
 
 def test_depth_states_counts_as_the_sweep():
@@ -1010,24 +953,31 @@ def test_depth_states_counts_as_the_sweep():
             for n in range(1, 8):
                 count = enumeration._count_by_depth(rows, cols, n)[0]
                 for region in (build_rectangle(rows, cols), build_rectangle(cols, rows)):
-                    searcher = _Searcher(region, n, enumeration._counting_order(region, n))
-                    assert count == searcher.count(), (rows, cols, n)
+                    assert count == _Searcher(region, n).count(), (rows, cols, n)
+
+
+def test_unequal_n3_rectangles_count_as_the_sweep():
+    for rows in range(4, 11):
+        for cols in range(4, 11):
+            region = build_rectangle(rows, cols)
+            if rows != cols and is_tileable(region, 3):
+                assert count_tilings(region, 3) == _Searcher(region, 3).count(), (rows, cols)
 
 
 def test_depth_states_swept():
-    # The placement sweep expands 181,064 states on 6x30 n=6.
+    # The placement sweep expands 181,064 states on 6x30 n=6, and 40,791 on 9x10 n=3.
     assert enumeration._count_by_depth(6, 30, 6)[1] == 117210
+    assert enumeration._count_by_depth(9, 10, 3)[1] == 115277
 
 
 def test_listing_and_sampling_search_in_level_order(monkeypatch):
     fresh_tables(monkeypatch)
     built = _record_searchers(monkeypatch)
-    region = build_rectangle(3, 6)  # wide, so counting would sweep it by columns
+    region = build_rectangle(3, 6)
     next(enumerate_tilings(region, 3))
     sample_tiling(region, 3, seed=1)
     build_graph(region, 3)
-    assert len(built) == 3
-    assert all(s.order == region.sorted_cells for s in built)
+    assert [s.region for s in built] == [region] * 3
 
 
 def test_verify_bijection_builds_one_searcher_per_case(monkeypatch):
@@ -1041,7 +991,7 @@ def test_verify_bijection_builds_one_searcher_per_case(monkeypatch):
     for (region, n), report in zip(battery, want):
         built.clear()
         assert verify_bijection(region, n) == report, (region, n)
-        assert [s.order for s in built] == [region.sorted_cells]
+        assert [s.region for s in built] == [region]
 
 
 def test_counting_builds_no_tiles(monkeypatch):
