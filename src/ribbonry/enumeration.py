@@ -1,12 +1,13 @@
 """Exact counting, streaming enumeration, and uniform sampling of ribbon tilings.
 
-The search places one tile at a time, always rooted at the uncovered cell
-that comes first in a fixed cell order.  A ribbon steps only E or N, so in
-any order where every cell comes before its E and N neighbours a ribbon's
-root is its first cell.  Any ribbon covering the first free cell must then
-be rooted there (a root earlier in the order would itself be a free cell
-before it), which makes the search exhaustive and duplicate-free.  Every
-placement table is in (level, x) order, which listing and sampling need.
+Listing and sampling place one tile at a time, always rooted at the
+uncovered cell that comes first in a fixed cell order.  A ribbon steps only
+E or N, so in any order where every cell comes before its E and N
+neighbours a ribbon's root is its first cell.  Any ribbon covering the
+first free cell must then be rooted there (a root earlier in the order
+would itself be a free cell before it), which makes the search exhaustive
+and duplicate-free.  Every placement table is in (level, x) order, which
+listing and sampling need.
 
 Every cell before the first free cell i is covered, so every search keys a
 state by its layer i and its band, the covered bits from cell i up.  A
@@ -15,12 +16,6 @@ as it is, and if the child `band | mask` has its `step` lowest bits set, it
 is band `child >> step` of layer i + step.  The full state is layer `area`.
 Once the first free cell sits at level L no cell at level >= L + n can be
 covered yet, so the band spans levels [L, L + n - 1].
-
-Counting sweeps the layers (`_Searcher.count`).  A placement covers cell i,
-so a state's children all land in higher layers, and the layers are
-expanded in increasing i with no stack and no memo, each dropped once
-expanded, so memory is bounded by the live layers, not by every state
-visited.  Each state carries the number of ways to reach it.
 
 Ribbons of every length need no search.  Such a tiling picks for each cell
 at most one successor, its E or N neighbour, with no cell picked twice, and
@@ -32,50 +27,38 @@ matchings (F(1) = F(2) = 1), and its largest have floor(k / 2) edges: one
 such for even k, (k + 1) / 2 for odd k.  Tiles are cells less picks, so
 `count_variable` and `count_minimal` take linear time (`_by_level_pairs`).
 
-A rectangle with n >= 4, a short side of at most n, or n = 3 and unequal
-sides is counted one cell at a time (`_count_by_depth`), with no placement
-table, once `is_tileable` finds that n divides a side.  The same tilings are
-built cell by cell in column order along the long side: a cell either
-starts a ribbon, at depth 0, or continues the ribbon of its W or S
-neighbour, one deeper.  A cell at depth n - 1 ends its ribbon and is
-closed; any other is open, and its E or N neighbour must continue it.  The
-state holds one slot per row, for the last cell visited in that row.  When
-a cell comes, its W neighbour is in its own row's slot and its S neighbour
-in the slot below.  An open W neighbour must be continued here, since its N
-neighbour has passed; otherwise the cell starts a ribbon or continues an
-open S neighbour, closing it.  So a state has at most two children, where
-the placement sweep tests up to 2^(n - 1) masks.  In process (best of 3 to
-7, 2 cores, CPython 3.11), 6x30 n=6 goes from 193 to 27 ms and expands
-117,210 states instead of 181,064, 7x14 n=7 from 2.5 to 0.09 s and 8x8 n=8
-from 10.4 to 0.34 s, so both count in under a second.  With n = 4 the loop
-beat the sweep on every rectangle tried (sweep against loop, best of 3:
-8x8 20.3 against 18.7 ms, 8x12 55.4 against 33.0 ms, 8x16 86.6 against
-53.8 ms, 5x12 0.7 against 0.6 ms; 12x12 35.3 against 17.5 s).  With n = 3
-and unequal sides it ties or wins on thin strips against a sweep along the
-long side (6x30 2.02 against 1.94 ms, 6x60 4.3 against 3.9 ms) and loses
-up to a fifth on near-squares (8x12 4.8 against 5.4 ms, 10x12 43 against
-49 ms, 12x15 0.59 against 0.69 s, its `tracemalloc` peak 5.0 against
-6.3 MiB); a sweep in (level, x) order takes 1.3 s on 12x15, so the loop
-spares a second cell order.  The placement sweep keeps squares with
-n <= 3, which it folds (12x12 n=3: loop 871 against sweep 500 ms, n=2: 23
-against 7 ms), and unequal rectangles with n <= 2 whose short side exceeds
-n (12x14 n=2: 16.2 against 6.2 ms, 16x18 n=2: 405 against 119 ms).
+Counting builds no placement table (`_count_by_depth`).  It builds the same
+tilings one cell at a time in (level, x) order: a cell either starts a
+ribbon, at depth 0, or continues the ribbon of its W or S neighbour, one
+deeper, both on the level below.  A cell at depth n - 1 ends its ribbon and
+is closed; any other is open, and its E or N neighbour must continue it.
+While level L is stepped, a state holds one slot per x from lo - 1 up, with
+lo the level's lowest x: level L's cell for the x already stepped, level
+L - 1's for the rest.  When the cell at x = a comes, slot a holds its S
+neighbour, and a carry slot the cell below at a - 1, its W neighbour, whose
+N neighbour has passed.  An open carry must be continued here; otherwise
+the cell starts a ribbon or continues an open S neighbour.  The S neighbour
+then becomes the carry, unless the cell continued it.  A missing cell
+continues nothing, so it drops every state with an open carry.  A state has
+at most two children, where a placement search tests up to 2^(n - 1) masks.
+Each state carries the number of ways to reach it.  Each cell's layer is
+dropped once the next is made, so memory is bounded by one layer.  The
+count is the ways of the all-closed state after the last cell.
 
-The placement sweep counts every other region.  It folds a region equal to
-its own transpose, (x, y) -> (y, x), such as a square or AD(N, 2, 0), onto
-its mirror image.
-Transposition maps a ribbon to a ribbon and keeps every cell's level, so a
-covered set and its mirror have equally many completions.  The count is the
-sum over pending states of ways times completions, so ways may move onto
-any state with the same completions and the count stays exact.  At the
-start of each level, every cell before it lies on a lower level, which
-transposition maps onto itself, so a state's mirror is its key with the
-cells of each level in reverse; the sweep moves the ways of that layer onto
-the lesser of the state and its mirror, or onto the mirror's own later
-layer when the mirror's first free cell comes later.
-A 12x12 square with n = 3 sweeps 769,579 states instead of 1,134,718.
-The plan of these folds (`_Searcher.folds`) is built on a searcher's first
-sweep, so a searcher that only lists or samples never builds it.
+Each level starts with one pass over the layer.  It drops every state that
+left a cell below open with no successor on this level, and shifts the slots
+to the new lowest x, which makes the cell below at lo - 1 the carry; slots
+relative to each level keep a thin strip's keys small.  The same pass folds
+a region equal to its own transpose, (x, y) -> (y, x), such as a square or
+AD(N, 2, 0).  Transposition maps a ribbon to a ribbon and keeps every
+cell's level and depth, so a state and its mirror image have equally many
+completions.  The count is the sum over a layer of ways times completions,
+so ways may move onto any state with the same completions and the count
+stays exact.  At a level start a state holds level L - 1's cells alone,
+which transposition takes from x to L - 1 - x, so a state's mirror is its
+key with the slots reversed; the pass moves its ways onto the lesser of the
+two.  12x12 with n = 3 expands 610,945 states instead of 1,080,126, in
+120 against 152 ms (in process, best of 5, 2 cores, CPython 3.11).
 
 The sampler's table (`_Searcher.completions`) comes from one post-order
 search from state 0 on an explicit stack.  It memoises the number of
@@ -118,10 +101,11 @@ fixes the canonical listing order and each seed's tiling.  No search
 recurses, so region size, not search depth, bounds what can be counted or
 listed.
 
-Before any search, `_searcher_for` checks the area and the tiles rooted at
-each level, which `_root_levels` reads off the level histogram.  When either
-rules every tiling out, the searcher is over length 0, which no placement
-has: counting returns 0, sampling raises and listing yields nothing.
+Before any search or count, `_may_tile` checks the area and the tiles
+rooted at each level, which `_root_levels` reads off the level histogram.
+When either rules every tiling out, counting returns 0 with no loop, and
+`_searcher_for` gives a searcher over length 0, which no placement has:
+sampling raises and listing yields nothing.
 
 A completion table depends only on the region and n, not on the seed, so
 `sample_tiling` keeps the tables of recently sampled (region, n) pairs,
@@ -139,11 +123,11 @@ tables, and a new process starts with none.
 from __future__ import annotations
 
 import math
-import operator
 import random
 import threading
-from collections import OrderedDict, defaultdict
+from collections import OrderedDict
 from functools import cached_property
+from itertools import groupby
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, TypeVar
 
 from .region import Cell, Region, RibbonShape, Tile, Tiling
@@ -165,20 +149,19 @@ class NotTileableError(ValueError):
 
 
 class _Searcher:
-    """Placement table and frontier search over one region and one length n.
+    """Placement table and frontier search over one region and one length n,
+    for listing and sampling.
 
     Cells are indexed in (level, x) order (see the module docstring).
     Every search keys a state by (layer, band) and steps from it by the
     root-relative masks of `placements[layer]`.  Construction builds only
     the placement table: `tiles` and `fragments` are built when listing or
-    sampling first reads them, and `folds` on the first `count`.  A length
-    below 1 has no placement.
+    sampling first reads them.  A length below 1 has no placement.
     """
 
     def __init__(self, region: Region, n: int) -> None:
         self.region = region
         self.n = n
-        self.swept = 0  # states the last `count` expanded
         self.moves: list[str] = []  # the moves of every placement that fits, root by root
         self.placements: list[list[tuple[int, int]]] = []
         cells = region.sorted_cells
@@ -202,47 +185,6 @@ class _Searcher:
                     if j is not None:
                         stack.append((j, moves + mv, mask | (1 << (j - i))))
             self.placements.append(options)
-
-    @cached_property
-    def folds(self) -> dict[int, tuple[str, Callable[[str], Any]]]:
-        """How `count` finds a state's transpose mirror, by level start;
-        built on the first count.
-
-        Only a searcher over a region equal to its own transpose folds; any
-        other gets no plan.  At the start i of level L a key covers the band
-        of levels L .. L + n - 2, the highest a tile rooted below L
-        reaches.  Transposition keeps each level and reverses the cells
-        along it, so the mirror's key is the key with each level's segment
-        of bits reversed.  The entry for i is the format spec that writes a
-        key as that many bits, most significant first, and a getter that
-        picks the reversed segments out of those bits, highest level first.
-        A level start whose band has one cell per level is left out: every
-        state there is its own mirror.
-        """
-        region = self.region
-        if self.n < 2 or any((y, x) not in region.cells for x, y in region.cells):
-            return {}
-        # (level, first cell, end) of every level present, in order.
-        spans = []
-        end = 0
-        for level, cells in sorted(region.level_histogram.items()):
-            spans.append((level, end, end + cells))
-            end += cells
-        plan = {}
-        for k, (level, start, _) in enumerate(spans):
-            reach = level + self.n - 2
-            band = [(a, b) for higher, a, b in spans[k : k + self.n - 1] if higher <= reach]
-            if all(b - a == 1 for a, b in band):
-                continue
-            stop = band[-1][1]
-            # The key's bit for cell c is at position stop - 1 - c of its bits.
-            plan[start] = (
-                f"0{stop - start}b",
-                operator.itemgetter(
-                    *(slice(stop - 1 - a, stop - 1 - b if b < stop else None, -1) for a, b in reversed(band))
-                ),
-            )
-        return plan
 
     @cached_property
     def tiles(self) -> list[Tile]:
@@ -274,60 +216,11 @@ class _Searcher:
             for _, position in options
         ]
 
-    def count(self) -> int:
-        """Number of tilings: ways to reach the full state from state 0.
-
-        Sweeps the layers in increasing i (see the module docstring), each
-        complete when its turn comes and dropped once its children are
-        made.  Layer i maps each band to its state's ways from state 0.  A
-        level start's layer is folded onto mirror images first (`folds`).
-        `swept` counts the states expanded.
-        """
-        pending: defaultdict[int, dict[int, int]] = defaultdict(dict)
-        pending[0][0] = 1
-        folds = self.folds
-        swept = 0
-        for i, options in enumerate(self.placements):
-            layer = pending.pop(i, None)
-            if layer is None:
-                continue
-            if i in folds:
-                spec, reversed_segments = folds[i]
-                folded: dict[int, int] = {}
-                for state, ways in layer.items():
-                    mirror = int("".join(reversed_segments(format(state, spec))), 2)
-                    if mirror & 1:
-                        # The mirror's first free cell lies further along this level.
-                        step = (mirror ^ (mirror + 1)).bit_length() - 1
-                        into, mirror = pending[i + step], mirror >> step
-                    else:
-                        into, mirror = folded, min(state, mirror)
-                    old = into.get(mirror)
-                    into[mirror] = ways if old is None else old + ways
-                layer = folded
-            swept += len(layer)
-            masks = [mask for mask, _ in options]  # unpacking each pair per state costs more
-            for state, ways in layer.items():
-                for mask in masks:
-                    if mask & state:
-                        continue
-                    child = state | mask
-                    # Bit 0 is now covered; the lowest zero bit is the next free cell.
-                    step = (child ^ (child + 1)).bit_length() - 1
-                    nxt = pending[i + step]
-                    child >>= step
-                    # A first arrival shares its parent's int rather than a new one.
-                    old = nxt.get(child)
-                    nxt[child] = ways if old is None else old + ways
-        self.swept = swept
-        # Every layer below the full state's has been expanded and dropped.
-        return pending[self.region.area].get(0, 0)
-
     def completions(self) -> list[dict[int, int]]:
         """Completion counts of every state reachable from 0 but the full one.
 
-        `table[i][band]` is keyed as `count` keys its layers, for each layer
-        below the full state's, and a dead end counts 0.  It is filled by one
+        `table[i][band]` is keyed by (layer, band), for each layer below the
+        full state's, and a dead end counts 0.  It is filled by one
         depth-first search from state 0 on an explicit stack: a child
         already in the table adds its count without being searched again,
         and a state's count goes in when its frame pops, after every child's.
@@ -574,61 +467,107 @@ def _searcher_for(region: Region, n: int) -> _Searcher:
     every tiling out."""
     if n < 1:
         raise ValueError(f"ribbon length must be positive, got {n}")
-    tileable = region.area % n == 0 and _root_levels(region, n) is not None
-    return _Searcher(region, n if tileable else 0)
+    return _Searcher(region, n if _may_tile(region, n) else 0)
 
 
-def _count_by_depth(rows: int, cols: int, n: int) -> tuple[int, int]:
-    """(n-ribbon tilings of the rows x cols rectangle, states expanded),
-    one cell at a time in column order (see the module docstring).
+def _may_tile(region: Region, n: int) -> bool:
+    """False when the area or the level profile rules every n-ribbon tiling out."""
+    return region.area % n == 0 and _root_levels(region, n) is not None
 
-    Slot y of a state, `bits` wide, describes the last cell visited in row
-    y: 0 if it is closed, d + 1 if it is open at depth d.
+
+def _count_by_depth(region: Region, n: int) -> tuple[int, int]:
+    """(n-ribbon tilings of the region, states expanded), one cell at a time
+    in (level, x) order (see the module docstring).
+
+    On level L, slot k of a state, `bits` wide, holds the cell at
+    x = lo - 1 + k, with lo the level's lowest x: level L's cell for the x
+    already stepped, level L - 1's for the rest.  Slot 0, below lo, is the
+    carry.  A slot is 0 when its cell is closed or absent, d + 1 when it is
+    open at depth d.  States expanded counts the states every cell step
+    reads, a step at a missing cell inside a level included.
     """
+    cells = region.cells
+    fold = n > 1 and all((y, x) in cells for x, y in cells)
     bits = max(n - 1, 1).bit_length()
     slot = (1 << bits) - 1
-    # Per row y: slot y's shift, slot y - 1's (for row 0, a slot above the
-    # top that is always 0), the masks that clear slot y and both slots, and,
-    # by the slot value v of the cell it continues (0 for a new ribbon), a
-    # cell's own slot value shifted into slot y.
-    per_row = []
-    for y in range(rows):
-        shift, below = y * bits, (y - 1 if y else rows) * bits
-        here = ~(slot << shift)
-        opened = [(v + 1 if v + 1 < n else 0) << shift for v in range(n)]
-        per_row.append((shift, below, here, here & ~(slot << below), opened))
+    opened = [v + 1 if v + 1 < n else 0 for v in range(n)]  # a cell's value, by the value it continues
+    # By slot k: its shift, the mask that clears it and the carry, and `opened` shifted into it;
+    # slot 0's entry, the carry's own, is never read.
+    per_slot: list[tuple[int, int, list[int]]] = []
     layer = {0: 1}
-    swept = 0
-    for _ in range(cols):
-        for shift, below, here, both, opened in per_row:
-            swept += len(layer)
-            nxt: dict[int, int] = {}
+    states = 0
+    below, low, high = None, 0, 0  # the level stepped last, its lowest and highest x
+    for level, group in groupby(region.sorted_cells, lambda c: c.x + c.y):
+        xs = [x for x, _ in group]
+        lo, hi = xs[0], xs[-1]
+        gapped = len(xs) <= hi - lo
+        # Keep the cells below that a cell here can continue, x = lo - 1 .. hi, and drop
+        # every state with another open; with no level below, only the all-closed state.
+        first, last = max(lo - low, 1), min(hi, high) - low + 1
+        keep = (1 << (last + 1) * bits) - (1 << first * bits) if level - 1 == below and first <= last else 0
+        up, down = max(low - lo, 0) * bits, max(lo - low, 0) * bits
+        width = hi - lo + 2  # slots: the carry and one per x
+        if fold:
+            # A mirror keeps levels and depths and takes x to L - 1 - x below level L,
+            # which reverses the slots: all the bits, then each slot's own bits back.
+            spec = f"0{width * bits}b"
+            ones = int("1".zfill(bits) * width, 2)
+        nxt: dict[int, int] = {}
+        for state, ways in layer.items():
+            if state & ~keep:
+                continue
+            state = state << up >> down
+            if fold:
+                flipped = int(format(state, spec)[::-1], 2)
+                mirror = 0
+                for j in range(bits):
+                    mirror |= (flipped >> j & ones) << bits - 1 - j
+                state = min(state, mirror)
+            old = nxt.get(state)
+            nxt[state] = ways if old is None else old + ways
+        layer = nxt
+        while len(per_slot) < width:
+            shift = len(per_slot) * bits
+            per_slot.append((shift, ~(slot | slot << shift), [v << shift for v in opened]))
+        for x in range(lo, hi + 1):
+            shift, clear, opens = per_slot[x - lo + 1]
+            states += len(layer)
+            nxt = {}
+            if gapped and x not in xs:
+                # A missing cell continues nothing: the carry must be closed, and
+                # the cell under it becomes the carry.
+                for state, ways in layer.items():
+                    if not state & slot:
+                        child = state & clear | state >> shift & slot
+                        old = nxt.get(child)
+                        nxt[child] = ways if old is None else old + ways
+                layer = nxt
+                continue
             for state, ways in layer.items():
-                # An open W neighbour must be continued here; a closed one lets
-                # this cell start a ribbon or continue an open S neighbour.
-                west = state >> shift & slot
-                child = state & here | opened[west]
+                # An open carry must be continued here; a closed one lets this cell
+                # start a ribbon or continue the open cell under it.  Either way the
+                # cell under it becomes the carry unless this cell continued it.
+                carry, under = state & slot, state >> shift & slot
+                rest = state & clear
+                child = rest | opens[carry] | under
                 old = nxt.get(child)
                 nxt[child] = ways if old is None else old + ways
-                south = 0 if west else state >> below & slot
-                if south:
-                    child = state & both | opened[south]
+                if under and not carry:
+                    child = rest | opens[under]
                     old = nxt.get(child)
                     nxt[child] = ways if old is None else old + ways
             layer = nxt
-    return layer.get(0, 0), swept
+        below, low, high = level, lo, hi
+    return layer.get(0, 0), states
 
 
 def count_tilings(region: Region, n: int) -> int:
     """Number of tilings of the region by n-ribbons (0 if there are none)."""
     if n < 1:
         raise ValueError(f"ribbon length must be positive, got {n}")
-    if region.is_rectangle():
-        _, _, max_x, max_y = region.bounds
-        short, long = sorted((max_x + 1, max_y + 1))
-        if n >= 4 or short <= n or n == 3 and short < long:
-            return _count_by_depth(short, long, n)[0] if is_tileable(region, n) else 0
-    return _searcher_for(region, n).count()
+    if not (is_tileable(region, n) if region.is_rectangle() else _may_tile(region, n)):
+        return 0
+    return _count_by_depth(region, n)[0]
 
 
 def enumerate_tilings(region: Region, n: int) -> Iterator[Tiling]:

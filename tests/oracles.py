@@ -14,6 +14,8 @@ a time, as the package first did: a letter grid from a cell -> tile dict and
 an SVG whose outline is traced anew from every tile's own cells.
 `absolute_states` reads the sampler's layered completion table as one dict
 keyed by covered masks, the form its oracles and digests were written for.
+`sweep_count` counts by the package's former engine, a placement sweep over
+a searcher's table, unfolded, so that its states are those it expands.
 """
 
 from __future__ import annotations
@@ -106,6 +108,32 @@ def absolute_states(table: list[dict[int, int]]) -> dict[int, int]:
     order: `table[i][band]` is the state with every cell before i covered and
     `band` holding its bits from cell i up."""
     return {((1 << i) - 1) | band << i: count for i, layer in enumerate(table) for band, count in layer.items()}
+
+
+def sweep_count(searcher) -> tuple[int, int]:
+    """(ways from state 0 to the full state, states expanded) over a
+    `_Searcher`'s placement table.
+
+    The layers are swept in increasing first free cell i: a placement covers
+    cell i, so every child lands in a later layer, and each layer is whole
+    when its turn comes.  Layer i maps each band to the ways to reach it.
+    """
+    area = searcher.region.area
+    pending: list[dict[int, int]] = [{} for _ in range(area + 1)]
+    pending[0][0] = 1
+    swept = 0
+    for i, options in enumerate(searcher.placements):
+        layer, pending[i] = pending[i], {}
+        swept += len(layer)
+        for band, ways in layer.items():
+            for mask, _ in options:
+                if mask & band:
+                    continue
+                child = band | mask
+                step = (child ^ (child + 1)).bit_length() - 1  # to the lowest free cell
+                into = pending[i + step]
+                into[child >> step] = into.get(child >> step, 0) + ways
+    return pending[area].get(0, 0), swept
 
 
 def region_cells(region) -> frozenset[tuple[int, int]]:

@@ -134,7 +134,7 @@ def test_memory_error_exits_1(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    # A rectangle counted cell by cell, then any count.
+    # The count loop, then any count.
     monkeypatch.setattr(enumeration, "_count_by_depth", exhausted)
     assert run(capsys, "count", "--rect", "6x30", "--n", "6") == (1, "", "error: out of memory\n")
     monkeypatch.setattr("ribbonry.cli.count_tilings", exhausted)
@@ -529,7 +529,7 @@ def _any_argv(draw):
 @given(_any_argv())
 def test_main_parses_any_argv_as_the_whole_parser(tmp_path_factory, argv_and_grid):
     argv, grid = argv_and_grid
-    path = tmp_path_factory.getbasetemp() / "parse-grid.txt"
+    path = tmp_path_factory.mktemp("parse") / "grid.txt"  # a fresh name: rewriting one file waits on the disk
     path.write_text(grid)
     argv = [str(path) if word == "GRID" else word for word in argv]
     _assert_main_parses_as_whole_parser(argv, grid)
@@ -832,7 +832,7 @@ def _cli_request(draw):
 @given(_cli_request())
 def test_cli_grammar_exits_cleanly(tmp_path_factory, request_and_grid):
     argv, grid = request_and_grid
-    path = tmp_path_factory.getbasetemp() / "fuzz-grid.txt"
+    path = tmp_path_factory.mktemp("fuzz") / "grid.txt"  # a fresh name: rewriting one file waits on the disk
     path.write_text(grid)
     argv = [str(path) if word == "GRID" else word for word in argv]
     out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin

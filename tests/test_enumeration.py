@@ -7,10 +7,9 @@ import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from functools import cached_property
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -21,6 +20,7 @@ from oracles import (
     minimal_tilings_oracle,
     region_cells,
     ribbon_cells,
+    sweep_count,
     tilings_by_size_oracle,
     tilings_oracle,
 )
@@ -121,7 +121,7 @@ def test_searcher_over_no_lengths():
     for n in (0, -1):
         empty = _Searcher(region, n)
         assert empty.placements == [[]] * region.area and empty.tiles == []
-        assert empty.count() == 0
+        assert sweep_count(empty)[0] == 0
         assert list(empty.walk((), [], [])) == []
         assert absolute_states(empty.completions()) == {0: 0}
 
@@ -130,7 +130,7 @@ def test_sweep_never_reaching_the_full_state_gives_none():
     # DEAD_GRID has placements but no tiling.
     searcher = _Searcher(parse_region(DEAD_GRID), 3)
     assert any(searcher.placements)
-    assert searcher.count() == 0
+    assert sweep_count(searcher)[0] == 0
 
 
 def test_enumerate_agrees_with_count():
@@ -522,10 +522,11 @@ def test_concurrent_draws_match_single_thread_draws(monkeypatch):
 def test_count_memory_does_not_grow_with_strip_length():
     peaks = []
     for cols in (60, 240):
-        searcher = _Searcher(build_rectangle(4, cols), 4)
+        region = build_rectangle(4, cols)
+        region.sorted_cells  # grows with the region, so built outside the trace
         tracemalloc.start()
         try:
-            searcher.count()
+            enumeration._count_by_depth(region, 4)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -534,14 +535,13 @@ def test_count_memory_does_not_grow_with_strip_length():
 
 
 def test_whole_strip_count_memory_grows_linearly():
-    # The searcher is built inside the trace: its placement table grows with
-    # the area, so a strip four times as long may take four times the memory.
-    # `count_tilings` counts such a strip cell by cell, so build it directly.
+    # The region is built inside the trace: its cells grow with the area, so
+    # a strip four times as long may take four times the memory.
     peaks = []
     for cols in (2000, 8000):
         tracemalloc.start()
         try:
-            assert enumeration._searcher_for(build_rectangle(2, cols), 2).count() > 0
+            assert count_tilings(Region.from_cells((x, y) for x in range(cols) for y in range(2)), 2) > 0
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -608,7 +608,7 @@ def test_domino_counts_match_kasteleyn(cells):
     "region",
     [
         build_rectangle(2, 30),
-        # Equal to their own transpose, so the sweep folds them.
+        # Equal to their own transpose, so the count loop folds them.
         build_rectangle(12, 12),
         build_rectangle(16, 16),
         build_aztec(8, 2, 0),
@@ -699,7 +699,7 @@ def test_level_profile_rules_out_only_untileable_regions(cells, n):
     region = Region.from_cells(cells)
     profile = enumeration._root_levels(region, n)
     # The sweep, without the early zero that count_tilings takes.
-    count = _Searcher(region, n).count()
+    count = sweep_count(_Searcher(region, n))[0]
     if profile is None:
         assert count == 0
     elif count:
@@ -743,13 +743,14 @@ def test_level_profile_answers_without_a_search(monkeypatch):
     assert enumeration._root_levels(cross, 4) is None
     fresh_tables(monkeypatch)
     built = _record_searchers(monkeypatch)
+    monkeypatch.setattr(enumeration, "_count_by_depth", None)  # counting never enters the loop
     assert count_tilings(cross, 4) == 0
     assert not is_tileable(cross, 4)
     assert list(enumerate_tilings(cross, 4)) == []
     for untileable in (lambda: sample_tiling(cross, 4, seed=0), lambda: build_graph(cross, 4)):
         with pytest.raises(NotTileableError, match="region of area 108 has no 4-ribbon tiling"):
             untileable()
-    assert len(built) == 5
+    assert len(built) == 3  # listing, sampling and the graph; counting builds none
     _assert_no_placement_tried(built)
 
 
@@ -765,6 +766,7 @@ AREA_MISMATCH = [
 def test_area_mismatch_answers_without_a_search(monkeypatch, region, n):
     fresh_tables(monkeypatch)
     built = _record_searchers(monkeypatch)
+    monkeypatch.setattr(enumeration, "_count_by_depth", None)  # counting never enters the loop
     assert count_tilings(region, n) == 0
     assert not is_tileable(region, n)
     assert list(enumerate_tilings(region, n)) == []
@@ -776,11 +778,10 @@ def test_area_mismatch_answers_without_a_search(monkeypatch, region, n):
 
 
 def test_rectangle_counts_survive_transposition():
-    # Transposing maps ribbons to ribbons; on a rectangle with n <= 2 and a
-    # short side above n it pits the sweep over one against the sweep over
-    # the other.
+    # Transposing maps ribbons to ribbons; the count loop steps each level
+    # of the transpose the other way.
     for rows in range(1, 7):
-        for cols in range(1, 11):
+        for cols in range(1, 13):
             for n in range(2, 7):
                 got = count_tilings(build_rectangle(rows, cols), n)
                 assert got == count_tilings(build_rectangle(cols, rows), n), (rows, cols, n)
@@ -803,9 +804,7 @@ def _transpose_closed(most=12, box=6):
     ).map(lambda cells: {(x, y) for a, b in cells for x, y in ((a, b), (b, a))})
 
 
-# At a level start the mirror of a state can have its first free cell later
-# in the level, so its value moves to a later layer: the domino (0, 0)-(1, 0)
-# leaves (0, 1) free, and its mirror (0, 0)-(0, 1) leaves (1, 0) free.
+# Small squares: equal to their own transpose, so folded at level starts.
 PUSHED_ON = [{(x, y) for x in range(k) for y in range(k)} for k in (2, 3, 4)]
 # Levels 3 to 5 are missing between the two blocks.
 GAPPED = {(0, 0), (1, 0), (0, 1), (1, 1), (3, 3), (4, 3), (3, 4), (4, 4)}
@@ -822,8 +821,7 @@ def test_folded_counts_match_oracle(cells, n):
     region = Region.from_cells(cells)
     want = count_tilings_oracle(region_cells(region), (n,), {})
     assert count_tilings(region, n) == want
-    # The folded sweep, also where count_tilings counts a square cell by cell.
-    assert _Searcher(region, n).count() == want
+    assert sweep_count(_Searcher(region, n))[0] == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -836,6 +834,40 @@ def test_folded_variable_and_minimal_counts_match_oracle(cells):
     sizes = tilings_by_size_oracle(region_cells(region), {})
     assert count_variable(region) == sum(sizes.values())
     assert count_minimal(region) == minimal_tilings_oracle(region_cells(region))
+
+
+# Level 2 starts at x = 0, left of level 1's only cell at x = 1.
+LEFT_START = {(1, 0), (1, 1), (1, 2), (0, 2), (0, 3), (0, 4)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_holed_rectangles(6).filter(bool), _transpose_closed()), st.integers(1, 5))
+@example(GAPPED, 2)
+@example({(0, 0), (2, 2)}, 1)  # a missing level
+@example({(0, 0), (2, 2)}, 2)
+@example(LEFT_START, 3)
+def test_count_loop_matches_the_placement_sweep(cells, n):
+    region = Region.from_cells(cells)
+    want = sweep_count(_Searcher(region, n))[0]
+    assert count_tilings(region, n) == want
+    # The loop alone, without the area and level-profile checks before it.
+    assert enumeration._count_by_depth(region, n)[0] == want
+
+
+def test_a_level_may_start_left_of_the_one_below():
+    region = Region.from_cells(LEFT_START)
+    assert count_tilings(region, 3) == 1 == count_tilings_oracle(region_cells(region), (3,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=20), st.integers(2, 5))
+def test_an_area_that_n_does_not_divide_never_enters_the_count_loop(cells, n):
+    assume(len(cells) % n)
+    region = Region.from_cells(cells)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(enumeration, "_count_by_depth", None)
+        assert count_tilings(region, n) == 0
+        assert not is_tileable(region, n)
 
 
 @pytest.mark.parametrize(
@@ -869,46 +901,7 @@ def test_variable_and_minimal_counts_run_no_search(monkeypatch):
     assert count_minimal(region) == minimal_tilings_oracle(region_cells(region))
 
 
-def _states_swept(region, n):
-    """States the placement sweep expands for (region, n)."""
-    searcher = _Searcher(region, n)
-    assert searcher.count() == count_tilings(region, n)
-    return searcher.swept
-
-
 BAND = "\n".join("." * (11 - row) + "#" * 8 + "." * row for row in range(12))
-
-
-@pytest.mark.parametrize(
-    "region, n, states",
-    [
-        # Folded onto the transpose; (level, x) unfolded sweeps 613, 6,640, 47,114 and 4,088.
-        (build_rectangle(6, 6), 3, 378),
-        (build_rectangle(6, 6), 6, 3806),
-        (build_rectangle(8, 8), 4, 29402),
-        (build_aztec(8, 2, 0), 2, 2829),
-        # Not their own transpose: swept as before.
-        (parse_region(BAND), 4, 386),
-        # count_tilings counts these cell by cell instead.
-        (build_rectangle(4, 60), 4, 3360),
-        (build_rectangle(9, 10), 3, 40791),
-        (build_rectangle(10, 9), 3, 49121),
-    ],
-)
-def test_states_swept(region, n, states):
-    assert _states_swept(region, n) == states
-
-
-@pytest.mark.parametrize(
-    "rows, cols, n", [(5, 6, 3), (6, 7, 3), (8, 9, 3), (3, 4, 3), (4, 6, 4), (6, 12, 6)]
-)
-def test_rectangle_and_transpose_sweep_the_same_states(monkeypatch, rows, cols, n):
-    # Either way round, count_tilings runs the cell-by-cell loop along the long side.
-    calls = []
-    by_depth = enumeration._count_by_depth
-    monkeypatch.setattr(enumeration, "_count_by_depth", lambda *args: calls.append(args) or by_depth(*args))
-    assert count_tilings(build_rectangle(rows, cols), n) == count_tilings(build_rectangle(cols, rows), n)
-    assert calls == [(rows, cols, n)] * 2
 
 
 def _record_searchers(monkeypatch) -> list:
@@ -924,36 +917,35 @@ def _record_searchers(monkeypatch) -> list:
     return built
 
 
-def test_count_builds_one_searcher_in_the_counting_order(monkeypatch):
+def test_counting_builds_no_searcher(monkeypatch):
     built = _record_searchers(monkeypatch)
-    # Rectangles with n >= 4, a short side of at most n, or n = 3 and unequal
-    # sides go cell by cell.
-    cell_by_cell = [(6, 12, 6), (12, 6, 6), (8, 8, 4), (4, 60, 4), (2, 400, 2), (1, 600, 1)]
-    for rows, cols, n in cell_by_cell + [(6, 30, 3), (9, 10, 3), (10, 9, 3)]:
-        assert count_tilings(build_rectangle(rows, cols), n) > 0
-        assert built == [], (rows, cols, n)
-    # An untileable one is answered from its sides alone.
-    monkeypatch.setattr(enumeration, "_count_by_depth", None)
-    assert count_tilings(build_rectangle(10, 10), 7) == count_tilings(build_rectangle(4, 10), 8) == 0
-    assert built == []
-    # The placement sweep, in (level, x) order, counts the rest.
     for region, n in [
+        (build_rectangle(6, 12), 6),
+        (build_rectangle(12, 6), 6),
+        (build_rectangle(4, 60), 4),
+        (build_rectangle(2, 400), 2),
+        (build_rectangle(1, 600), 1),
+        (build_rectangle(6, 30), 3),
         (build_rectangle(6, 6), 3),
         (build_rectangle(10, 12), 2),
         (build_aztec(4, 2, 0), 2),
+        (parse_region(BAND), 4),
     ]:
-        built.clear()
         assert count_tilings(region, n) > 0
-        assert [(s.region, s.n) for s in built] == [(region, n)]
+        assert built == [], (region, n)
+    # An untileable rectangle is answered from its area or its sides alone.
+    monkeypatch.setattr(enumeration, "_count_by_depth", None)
+    assert count_tilings(build_rectangle(10, 10), 7) == count_tilings(build_rectangle(4, 10), 8) == 0
+    assert built == []
 
 
 def test_depth_states_counts_as_the_sweep():
     for rows in range(1, 8):
         for cols in range(1, 10):
             for n in range(1, 8):
-                count = enumeration._count_by_depth(rows, cols, n)[0]
+                want = sweep_count(_Searcher(build_rectangle(rows, cols), n))[0]
                 for region in (build_rectangle(rows, cols), build_rectangle(cols, rows)):
-                    assert count == _Searcher(region, n).count(), (rows, cols, n)
+                    assert count_tilings(region, n) == want, (rows, cols, n)
 
 
 def test_unequal_n3_rectangles_count_as_the_sweep():
@@ -961,13 +953,34 @@ def test_unequal_n3_rectangles_count_as_the_sweep():
         for cols in range(4, 11):
             region = build_rectangle(rows, cols)
             if rows != cols and is_tileable(region, 3):
-                assert count_tilings(region, 3) == _Searcher(region, 3).count(), (rows, cols)
+                assert count_tilings(region, 3) == sweep_count(_Searcher(region, 3))[0], (rows, cols)
+
+
+@pytest.mark.parametrize(
+    "region, n, states",
+    [
+        # Folded onto the transpose; 12x12 n=3 reads 1,080,126 states unfolded.
+        pytest.param(build_rectangle(12, 12), 3, 610945, id="12x12-n3"),
+        pytest.param(build_aztec(8, 3, 0), 3, 31126, id="AD(8,3,0)"),
+        pytest.param(build_rectangle(6, 6), 3, 713, id="6x6-n3"),
+        pytest.param(build_rectangle(6, 6), 6, 3563, id="6x6-n6"),
+        pytest.param(build_rectangle(8, 8), 4, 23185, id="8x8-n4"),
+        pytest.param(build_aztec(8, 2, 0), 2, 4904, id="AD(8,2,0)"),
+        # Not their own transpose.
+        pytest.param(parse_region(BAND), 4, 582, id="band-n4"),
+        pytest.param(build_rectangle(4, 60), 4, 5538, id="4x60-n4"),
+        pytest.param(build_rectangle(9, 10), 3, 52596, id="9x10-n3"),
+        pytest.param(build_rectangle(10, 9), 3, 70236, id="10x9-n3"),
+    ],
+)
+def test_states_swept(region, n, states):
+    # States every cell step of the count loop reads.
+    assert enumeration._count_by_depth(region, n) == (count_tilings(region, n), states)
 
 
 def test_depth_states_swept():
-    # The placement sweep expands 181,064 states on 6x30 n=6, and 40,791 on 9x10 n=3.
-    assert enumeration._count_by_depth(6, 30, 6)[1] == 117210
-    assert enumeration._count_by_depth(9, 10, 3)[1] == 115277
+    # The placement sweep expands 409,622 states here; the loop reads 269,202 on 30x6.
+    assert enumeration._count_by_depth(build_rectangle(6, 30), 6)[1] == 110802
 
 
 def test_listing_and_sampling_search_in_level_order(monkeypatch):
@@ -996,8 +1009,8 @@ def test_verify_bijection_builds_one_searcher_per_case(monkeypatch):
 
 def test_counting_builds_no_tiles(monkeypatch):
     counts = [
-        lambda: count_tilings(build_rectangle(6, 6), 3),  # the placement sweep
-        lambda: count_tilings(build_rectangle(4, 8), 4),  # cell by cell
+        lambda: count_tilings(build_rectangle(6, 6), 3),  # folded onto the transpose
+        lambda: count_tilings(build_rectangle(4, 8), 4),
         lambda: count_tilings(build_aztec(3, 2, 0), 2),
         lambda: count_variable(build_rectangle(2, 3)),
         lambda: count_minimal(build_rectangle(2, 3)),
@@ -1009,30 +1022,3 @@ def test_counting_builds_no_tiles(monkeypatch):
 
     monkeypatch.setattr(enumeration, "Tile", no_tile)
     assert [count() for count in counts] == want
-
-
-def test_only_sweeping_builds_the_fold_plan(monkeypatch):
-    fresh_tables(monkeypatch)
-    built = []  # every searcher whose fold plan is built, once per build
-    plan = _Searcher.folds.func
-
-    def recording_plan(self):
-        built.append(self)
-        return plan(self)
-
-    folds = cached_property(recording_plan)
-    folds.__set_name__(_Searcher, "folds")
-    monkeypatch.setattr(_Searcher, "folds", folds)
-    # Both are their own transpose, so a sweep over either folds.
-    for region, n in [(build_rectangle(6, 6), 3), (build_aztec(3, 2, 0), 2)]:
-        tilings = sum(1 for _ in enumerate_tilings(region, n))
-        sample_tiling(region, n, seed=0)
-        build_graph(region, n)
-        assert verify_bijection(region, n).tiling_count == tilings
-        assert built == [], (region, n)
-    assert count_tilings(build_rectangle(6, 6), 3) == 8914
-    assert len(built) == 1 and built[0].folds
-    built.clear()
-    # The searcher that counts states and the one count_tilings builds to check it.
-    assert _states_swept(build_rectangle(6, 6), 3) == 378
-    assert len(built) == 2 and built[0] is not built[1]
