@@ -101,11 +101,12 @@ fixes the canonical listing order and each seed's tiling.  No search
 recurses, so region size, not search depth, bounds what can be counted or
 listed.
 
-Before any search or count, `_may_tile` checks the area and the tiles
-rooted at each level, which `_root_levels` reads off the level histogram.
-When either rules every tiling out, counting returns 0 with no loop, and
-`_searcher_for` gives a searcher over length 0, which no placement has:
-sampling raises and listing yields nothing.
+Before any search or count, `_may_tile` rules a rectangle in or out by its
+sides, and any other region out by its area or by the tiles rooted at each
+level, which `_root_levels` reads off the level histogram.  When it rules
+every tiling out, counting returns 0 with no loop, and `_searcher_for` gives
+a searcher over length 0, which no placement has: sampling raises and
+listing yields nothing.
 
 A completion table depends only on the region and n, not on the seed, so
 `sample_tiling` keeps the tables of recently sampled (region, n) pairs,
@@ -169,8 +170,9 @@ class _Searcher:
         # Each cell's N and E neighbours, as indices in (level, x) order or None,
         # pushed N first so that E pops first.
         steps = [(("N", index.get(Cell(x, y + 1))), ("E", index.get(Cell(x + 1, y)))) for x, y in cells]
-        # A ribbon climbs one level per cell, so none rises past the top level.
-        top = max(region.level_histogram)
+        # A ribbon climbs one level per cell, so none rises past the top level,
+        # the last cell's.
+        top = sum(cells[-1])
         for i, (x, y) in enumerate(cells):
             # Canonical order: depth first, E before N.
             options: list[tuple[int, int]] = []
@@ -463,15 +465,23 @@ def _root_levels(region: Region, n: int) -> dict[int, int] | None:
 
 def _searcher_for(region: Region, n: int) -> _Searcher:
     """The searcher over the region's n-ribbon tilings; over length 0, with
-    no placement to try, when the area or the level profile already rules
-    every tiling out."""
+    no placement to try, when `_may_tile` already rules every tiling out."""
     if n < 1:
         raise ValueError(f"ribbon length must be positive, got {n}")
     return _Searcher(region, n if _may_tile(region, n) else 0)
 
 
 def _may_tile(region: Region, n: int) -> bool:
-    """False when the area or the level profile rules every n-ribbon tiling out."""
+    """False when the region's shape rules every n-ribbon tiling out.
+
+    An a x b rectangle has a tiling iff n divides a or b, so for a
+    rectangle the answer is exact.  Any other region is ruled out by its
+    area or its level profile (`_root_levels`), and passing does not prove
+    that it has a tiling.
+    """
+    if region.is_rectangle():
+        _, _, max_x, max_y = region.bounds
+        return (max_y + 1) % n == 0 or (max_x + 1) % n == 0
     return region.area % n == 0 and _root_levels(region, n) is not None
 
 
@@ -565,9 +575,7 @@ def count_tilings(region: Region, n: int) -> int:
     """Number of tilings of the region by n-ribbons (0 if there are none)."""
     if n < 1:
         raise ValueError(f"ribbon length must be positive, got {n}")
-    if not (is_tileable(region, n) if region.is_rectangle() else _may_tile(region, n)):
-        return 0
-    return _count_by_depth(region, n)[0]
+    return _count_by_depth(region, n)[0] if _may_tile(region, n) else 0
 
 
 def enumerate_tilings(region: Region, n: int) -> Iterator[Tiling]:
@@ -581,15 +589,12 @@ def enumerate_tilings(region: Region, n: int) -> Iterator[Tiling]:
 def is_tileable(region: Region, n: int) -> bool:
     """Whether at least one n-ribbon tiling exists.
 
-    Rectangles short-circuit: an a x b rectangle is n-tileable iff n divides
-    a or b.  Other regions fall back to counting.
+    A rectangle is answered by `_may_tile` alone, which is exact there;
+    other regions fall back to counting.
     """
     if n < 1:
         raise ValueError(f"ribbon length must be positive, got {n}")
-    if region.is_rectangle():
-        _, _, max_x, max_y = region.bounds
-        return (max_y + 1) % n == 0 or (max_x + 1) % n == 0
-    return count_tilings(region, n) > 0
+    return _may_tile(region, n) if region.is_rectangle() else count_tilings(region, n) > 0
 
 
 def sample_tiling(region: Region, n: int, seed: int) -> Tiling:

@@ -21,7 +21,7 @@ import types
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, product, repeat
+from itertools import chain, groupby, product, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
@@ -208,17 +208,17 @@ class Region:
     @cached_property
     def bounds(self) -> tuple[int, int, int, int]:
         """(min_x, min_y, max_x, max_y); the minima are 0 by normalization."""
-        xs = [c.x for c in self.cells]
-        ys = [c.y for c in self.cells]
-        return (min(xs), min(ys), max(xs), max(ys))
+        return (0, 0, max(self.cells).x, max(map(itemgetter(1), self.cells)))
 
     @cached_property
     def level_histogram(self) -> types.MappingProxyType[int, int]:
-        """Cells per level, by ascending level, read-only since a region is shared."""
-        hist: dict[int, int] = {}
-        for c in self.cells:
-            hist[c.level] = hist.get(c.level, 0) + 1
-        return types.MappingProxyType(dict(sorted(hist.items())))
+        """Cells per level, by ascending level, read-only since a region is shared.
+
+        Counted in one pass over `sorted_cells`, which are in level order.
+        """
+        return types.MappingProxyType(
+            {level: len(list(cells)) for level, cells in groupby(map(sum, self.sorted_cells))}
+        )
 
     @cached_property
     def sorted_cells(self) -> tuple[Cell, ...]:

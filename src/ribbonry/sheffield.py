@@ -20,16 +20,22 @@ comparison must agree.  The comparison is pairwise; tiles sitting between
 the two are irrelevant.  Arcs always point from the left tile to the right
 tile.
 
+Root order, (level, x), is (level, rank) order, so tile k of a tiling in
+root order is vertex k of the vertices sorted by (level, rank).  That one
+rule addresses tiles everywhere.  `build_graph` labels the first tiling of
+the listing walk (`_Searcher.walk`), which `_walked` gives as the positions
+of its placements in root order; `orientation_from_tiling` labels a
+`Tiling` sorted by root; and `verify_bijection` takes tile k of each walked
+tiling as vertex k without labelling it.
+
 `orientation_from_tiling` orients one `Tiling` as a set of VertexId arcs.
-`verify_bijection` checks every tiling without building one: the listing
-walk (`_Searcher.walk`) gives each as the positions of its placements in
-root order, which is (level, x) order, so tile k is vertex k of the
-vertices sorted by (level, rank).  The rule runs once per placement pair
-met in the call, as a verdict keyed by the two positions, and an
-orientation is an int with one bit per edge of `graph.edges`, set when the
-arc runs from the edge's u to its v.  So tau is a mask test, injectivity a
-set of ints, and acyclicity a peel over each vertex's in-neighbours as bits.
-On 6x6 with n = 3 the rule runs 2,330 times instead of 401,145.
+`verify_bijection` checks every tiling without building one.  The rule runs
+once per placement pair met in the call, as a verdict keyed by the two
+positions, and an orientation is an int with one bit per edge of
+`graph.edges`, set when the arc runs from the edge's u to its v.  So tau is
+a mask test, injectivity a set of ints, and acyclicity a peel over each
+vertex's in-neighbours as bits.  On 6x6 with n = 3 the rule runs 2,330
+times instead of 401,145.
 """
 
 from __future__ import annotations
@@ -38,15 +44,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, TypeVar
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from .enumeration import NotTileableError, _root_levels, _searcher_for, enumerate_tilings
-from .region import Region, Tiling
+from .enumeration import NotTileableError, _root_levels, _Searcher, _searcher_for
+from .region import Region, Tile, Tiling
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-_T = TypeVar("_T")
 
 SAME_LEVEL = "same_level"
 FREE = "free"
@@ -105,33 +109,42 @@ class SGraph:
         }
 
 
-def _label_tiles(tiling: Tiling) -> dict[VertexId, dict[int, int]]:
-    """Address each tile as (root level, left-to-right rank within the level).
+def _label_tiles(tiles: Iterable[Tile]) -> dict[VertexId, dict[int, int]]:
+    """Address each of `tiles`, given in root order, as (root level, rank
+    from 1 within the level), so that tile k is vertex k (module docstring).
 
     Each address maps to the tile's cells as {level: x}, all the left-of
     rule reads.
     """
-    by_level: dict[int, list[dict[int, int]]] = {}
-    for tile in tiling.tiles:
-        by_level.setdefault(tile.root.level, []).append({c.level: c.x for c in tile.cells()})
     labels: dict[VertexId, dict[int, int]] = {}
-    for level, tiles in by_level.items():
-        for rank, x_at in enumerate(sorted(tiles, key=lambda t: t[level]), start=1):
-            labels[VertexId(level, rank)] = x_at
+    level, rank = None, 0
+    for tile in tiles:
+        rank = rank + 1 if tile.root.level == level else 1
+        level = tile.root.level
+        labels[VertexId(level, rank)] = {c.level: c.x for c in tile.cells()}
     return labels
 
 
-def _first_tiling(region: Region, n: int, tilings: Iterator[_T]) -> _T:
-    """The first of `tilings`, as Tilings or as walked placements."""
+def _walked(region: Region, n: int) -> tuple[_Searcher, tuple[int, ...], Iterator[tuple[int, ...]]]:
+    """The searcher over the region's n-ribbon tilings, its first tiling as
+    the positions of its placements in root order, and the rest of the walk
+    that found it.  Raises NotTileableError if the region has no tiling."""
+    searcher = _searcher_for(region, n)
+    positions = [(position,) for position in range(len(searcher.moves))]
+    tilings = searcher.walk((), positions, positions)
     first = next(tilings, None)
     if first is None:
         raise NotTileableError(f"region of area {region.area} has no {n}-ribbon tiling")
-    return first
+    return searcher, first, tilings
 
 
 def tile_levels(region: Region, n: int) -> dict[int, int]:
-    """Number of tiles rooted at each level (a tiling-independent profile)."""
-    _first_tiling(region, n, enumerate_tilings(region, n))  # the histogram cannot prove one exists
+    """Number of tiles rooted at each level (a tiling-independent profile).
+
+    Raises NotTileableError if the region has no tiling.  The profile alone
+    cannot prove that one exists, so this walks to the first tiling.
+    """
+    _walked(region, n)
     return _root_levels(region, n)
 
 
@@ -149,14 +162,17 @@ def _arc(u: VertexId, u_x: dict[int, int], v: VertexId, v_x: dict[int, int]) -> 
 
 
 def build_graph(region: Region, n: int) -> SGraph:
-    """Construct the tile-adjacency graph from the region's first tiling."""
-    return _graph_of(_first_tiling(region, n, enumerate_tilings(region, n)), n)
+    """Construct the tile-adjacency graph from the region's first tiling in
+    the listing walk.  Raises NotTileableError if the region has no tiling."""
+    searcher, first, _ = _walked(region, n)
+    return _graph_of(map(searcher.tiles.__getitem__, first), n)
 
 
-def _graph_of(first: Tiling, n: int) -> SGraph:
-    """The tile-adjacency graph read off `first`, the region's first n-ribbon tiling."""
+def _graph_of(first: Iterable[Tile], n: int) -> SGraph:
+    """The tile-adjacency graph read off `first`, the tiles of one n-ribbon
+    tiling in root order, so that tile k is vertex k."""
     labels = _label_tiles(first)
-    vertices = tuple(sorted(labels))
+    vertices = tuple(labels)
     edges: list[SEdge] = []
     tau: set[tuple[VertexId, VertexId]] = set()
     for i, u in enumerate(vertices):
@@ -211,7 +227,7 @@ def orientation_from_tiling(tiling: Tiling, graph: SGraph) -> frozenset[tuple[Ve
     not extend tau (a forced pair turned round, possible only on a region
     with holes) or if it contains a cycle.
     """
-    labels = _label_tiles(tiling)
+    labels = _label_tiles(sorted(tiling.tiles, key=lambda t: (t.root.level, t.root.x)))
     if labels.keys() != set(graph.vertices):
         raise GraphInconsistencyError("tiling level profile does not match graph vertices")
     result = frozenset(_arc(e.u, labels[e.u], e.v, labels[e.v]) for e in graph.edges)
@@ -511,12 +527,9 @@ def verify_bijection(region: Region, n: int) -> BijectionReport:
     GraphInconsistencyError on a region with holes whose tilings do not all
     orient the forced pairs alike.
     """
-    searcher = _searcher_for(region, n)
+    searcher, first, tilings = _walked(region, n)
     tiles = searcher.tiles
-    positions = [(position,) for position in range(len(tiles))]
-    tilings = searcher.walk((), positions, positions)
-    first = _first_tiling(region, n, tilings)
-    graph = _graph_of(Tiling(region, tuple(map(tiles.__getitem__, first))), n)
+    graph = _graph_of(map(tiles.__getitem__, first), n)
     vertices = graph.vertices
     levels = tuple(v.level for v in vertices)
     root_level = [tile.root.level for tile in tiles]
@@ -605,7 +618,7 @@ def verify_growth_bounds(region: Region, n: int) -> GrowthReport:
     from fractions import Fraction  # with `decimal`, about 3.5 ms of a fresh start; only this needs it
 
     graph = build_graph(region, n)
-    tiles_per_level = Counter(v.level for v in graph.vertices)
+    tiles_per_level = _root_levels(region, n)
     top = max(tiles_per_level)
     t_max = max(tiles_per_level.values())
     last_widest = max(l for l, t in tiles_per_level.items() if t == t_max)

@@ -717,16 +717,39 @@ def test_level_profile_values():
 
 
 def test_level_profile_agrees_with_the_rectangle_closed_form():
-    # An a x b rectangle has an n-ribbon tiling iff n divides a or b, which
-    # is the case is_tileable answers without a search.
+    # An a x b rectangle has an n-ribbon tiling iff n divides a or b, the
+    # rule `_may_tile`, and so is_tileable, answers a rectangle by.
     for rows in range(1, 21):
-        for cols in range(1, 21):
+        for cols in range(1, 25):
             rect = build_rectangle(rows, cols)
             for n in range(1, 9):
-                if rows * cols % n == 0:
-                    ruled_out = enumeration._root_levels(rect, n) is None
-                    assert ruled_out == (rows % n != 0 and cols % n != 0), (rows, cols, n)
-                    assert ruled_out == (not is_tileable(rect, n)), (rows, cols, n)
+                by_profile = rect.area % n == 0 and enumeration._root_levels(rect, n) is not None
+                assert by_profile == (rows % n == 0 or cols % n == 0), (rows, cols, n)
+                assert by_profile == enumeration._may_tile(rect, n) == is_tileable(rect, n), (rows, cols, n)
+
+
+def test_rectangles_are_ruled_in_or_out_by_their_sides(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a rectangle's level profile was read")
+
+    fresh_tables(monkeypatch)
+    monkeypatch.setattr(enumeration, "_root_levels", refuse)
+    rect = build_rectangle(3, 4)
+    assert count_tilings(rect, 3) == 12 and is_tileable(rect, 3)
+    assert len(list(enumerate_tilings(rect, 3))) == 12
+    assert sample_tiling(rect, 3, seed=0).to_json() == (
+        '{"tiles":[{"root":[0,0],"moves":"NN"},{"root":[1,0],"moves":"NE"},'
+        '{"root":[2,0],"moves":"EN"},{"root":[1,2],"moves":"EE"}]}'
+    )
+    for rows, cols, n, message in [
+        (2, 6, 4, "region of area 12 has no 4-ribbon tiling"),
+        (2, 3, 4, "area 6 is not a multiple of 4"),
+    ]:
+        rect = build_rectangle(rows, cols)
+        assert count_tilings(rect, n) == 0 and not is_tileable(rect, n)
+        assert list(enumerate_tilings(rect, n)) == []
+        with pytest.raises(NotTileableError, match=f"^{message}$"):
+            sample_tiling(rect, n, seed=0)
 
 
 def _assert_no_placement_tried(built: list) -> None:

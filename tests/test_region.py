@@ -4,7 +4,9 @@ import copy
 import gc
 import io
 import pickle
+import tracemalloc
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import example, given
@@ -150,6 +152,46 @@ def test_level_histogram_is_read_only():
     assert region.level_histogram == {0: 1, 1: 2, 2: 1}
     for copied in (pickle.loads(pickle.dumps(region)), copy.deepcopy(region)):
         assert copied == region and copied.level_histogram == region.level_histogram
+
+
+REGION_CELLS = st.sets(st.tuples(st.integers(-8, 8), st.integers(-8, 8)), min_size=1, max_size=30)
+RING_CELLS = {(x, y) for x in range(3) for y in range(3)} - {(1, 1)}
+TWO_PIECES = {(0, 0), (1, 0), (4, 3), (5, 3)}
+
+
+@given(REGION_CELLS)
+@example(RING_CELLS)
+@example(TWO_PIECES)
+def test_bounds_are_the_cells_extremes(cells):
+    region = Region.from_cells(cells)
+    xs = [c.x for c in region.cells]
+    ys = [c.y for c in region.cells]
+    assert region.bounds == (min(xs), min(ys), max(xs), max(ys))
+
+
+@given(REGION_CELLS)
+@example(RING_CELLS)
+@example(TWO_PIECES)
+def test_level_histogram_counts_each_level(cells):
+    region = Region.from_cells(cells)
+    hist = region.level_histogram
+    assert hist == Counter(x + y for x, y in region.cells)
+    assert list(hist) == sorted(hist)
+    with pytest.raises(TypeError):
+        hist[0] = 1
+
+
+def test_level_histogram_memory_on_a_long_strip():
+    region = Region(build_rectangle(2, 20000).cells)  # a new region: nothing cached
+    region.sorted_cells
+    tracemalloc.start()
+    try:
+        region.level_histogram
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One dict of 20,001 levels takes about 1.2 MiB; a sorted copy of it passes 3 MiB.
+    assert peak < 2 << 20
 
 
 def test_region_with_hole_is_not_simply_connected():

@@ -20,11 +20,14 @@ from oracles import (
     poly_pow,
 )
 from ribbonry import (
+    BijectionReport,
     Cell,
     GraphInconsistencyError,
+    NotTileableError,
     Region,
     SEdge,
     SGraph,
+    Tiling,
     VertexId,
     acyclic_count_via_chromatic,
     build_aztec,
@@ -83,6 +86,47 @@ def test_tile_levels_profile_golden():
     assert tile_levels(build_rectangle(6, 9), 3) == {
         0: 1, 1: 1, 2: 1, 3: 2, 4: 2, 5: 2, 6: 2, 7: 2, 8: 2, 9: 1, 10: 1, 11: 1,
     }
+
+
+# Area divisible by n with no tiling: the grid of the CLI's untileable-graph
+# test, and the bench's plus sign, which its level profile rules out.
+UNTILEABLE = [
+    (parse_region("\n".join([".....#...", "#########", "#######.#"] + ["######..."] * 4)), 3, 42),
+    (parse_region("\n".join(["...######..."] * 3 + ["#" * 12] * 6 + ["...######..."] * 3)), 4, 108),
+]
+
+
+@pytest.mark.parametrize("build", [build_graph, tile_levels, verify_bijection], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("region,n,area", UNTILEABLE, ids=["grid", "cross"])
+def test_untileable_regions_raise_alike(build, region, n, area):
+    with pytest.raises(NotTileableError, match=f"^region of area {area} has no {n}-ribbon tiling$"):
+        build(region, n)
+
+
+def test_graphs_are_built_without_listing_tilings(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("listed through enumerate_tilings")
+
+    # enumerate_tilings makes each tiling through the module's Tiling, so
+    # this also catches a copy of the function imported elsewhere.
+    monkeypatch.setattr(enumeration, "enumerate_tilings", refuse)
+    monkeypatch.setattr(enumeration, "Tiling", refuse)
+    assert build_graph(build_rectangle(3, 4), 3).to_json_dict() == {
+        "n": 3,
+        "vertices": [[0, 1], [1, 1], [2, 1], [3, 1]],
+        "edges": [
+            {"u": [0, 1], "v": [1, 1], "class": FREE},
+            {"u": [0, 1], "v": [2, 1], "class": FREE},
+            {"u": [0, 1], "v": [3, 1], "class": FORCED},
+            {"u": [1, 1], "v": [2, 1], "class": FREE},
+            {"u": [1, 1], "v": [3, 1], "class": FREE},
+            {"u": [2, 1], "v": [3, 1], "class": FREE},
+        ],
+        "tau": [[[0, 1], [3, 1]]],
+    }
+    assert tile_levels(build_aztec(2, 3, 1), 3) == {1: 2, 3: 1, 4: 1, 6: 2}
+    assert verify_bijection(build_rectangle(3, 6), 3) == BijectionReport(61, 61, True)
+    assert verify_growth_bounds(build_rectangle(4, 8), 4).counts == (1, 2, 6, 24, 60, 160, 455, 1379)
 
 
 def test_graph_edges_iff_levels_within_n():
@@ -177,6 +221,16 @@ def _tiles_by_slot(tiling) -> dict:
         rank = sum(1 for v in slots if v.level == tile.root.level) + 1
         slots[VertexId(tile.root.level, rank)] = tile.cells()
     return slots
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(GRAPH_BATTERY), st.integers(0, 2**16), st.data())
+def test_orientation_ignores_the_order_of_the_tiles(case, seed, data):
+    region, n = case
+    graph = build_graph(region, n)
+    tiling = sample_tiling(region, n, seed)
+    shuffled = Tiling(region, tuple(data.draw(st.permutations(tiling.tiles))))
+    assert orientation_from_tiling(shuffled, graph) == orientation_from_tiling(tiling, graph)
 
 
 def test_left_of_rule_matches_the_reference_rules():
@@ -338,8 +392,8 @@ def test_verify_bijection_orients_each_placement_pair_once(monkeypatch):
     assert verify_bijection(region, 3).tiling_count == 8914
     # Orienting every edge of every tiling anew took 401,145 calls.
     assert arcs <= 3000
-    # One per placement, and at most one per tile of the first tiling: none per tiling.
-    assert tiles <= placements + region.area // 3
+    # One per placement: none per tiling, and the first tiling is not rebuilt.
+    assert tiles == placements
 
 
 def test_orientation_rejects_profile_mismatch():
